@@ -1,7 +1,7 @@
 // Bounded worker pool for the sharded simulator.
 //
 // This file (together with src/sim/shard_*) is the sanctioned home of
-// raw threading primitives — tracon_lint's raw-thread rule errors on
+// raw threading primitives — tracon_analyze's raw-thread rule flags
 // std::thread / std::async / mutexes anywhere else in src/, so
 // nondeterministic concurrency cannot leak into simulation code. The
 // contract every caller relies on: parallel_for runs side-effect-

@@ -1,15 +1,17 @@
 // Tests for tracon_analyze (tools/analyze): the tokenizer, the include
-// graph, and all four passes, driven on in-memory fixture trees the
-// same way test_lint.cpp drives the lint rules. Every pass gets a
-// seeded-violation fixture and a known-clean fixture; the suppression
-// syntax, rule filtering, and the JSON report shape are covered here
-// too, so the "analyzer is clean over this repo" ctest entry stays an
-// end-to-end check rather than the only line of defense.
+// graph, and every pass, driven on in-memory fixture trees. Every rule
+// gets a seeded-violation fixture and a known-clean fixture; the
+// suppression syntax, rule filtering, and the JSON report shape are
+// covered here too, so the "analyzer is clean over this repo" ctest
+// entry stays an end-to-end check rather than the only line of
+// defense.
 #include "analyze/analysis.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 namespace tracon::analyze {
 namespace {
@@ -121,8 +123,8 @@ TEST(Layering, IncludeCycleIsCaught) {
 
 TEST(Layering, TestsMayIncludeTools) {
   AnalysisResult r = analyze({
-      {"tests/test_thing.cpp", "#include \"lint/lint_rules.hpp\"\n"},
-      {"tools/lint/lint_rules.hpp", "#pragma once\n"},
+      {"tests/test_thing.cpp", "#include \"analyze/analysis.hpp\"\n"},
+      {"tools/analyze/analysis.hpp", "#pragma once\n"},
   });
   EXPECT_EQ(count_rule(r, "layering"), 0u);
 }
@@ -323,6 +325,399 @@ TEST(ParallelDiscipline, IncrementOfSharedCaptureIsCaught) {
   EXPECT_EQ(count_rule(r, "parallel-discipline"), 1u);
 }
 
+// ---------------------------------------------------------- convention rules
+//
+// The nine per-file rules (pass_conventions.cpp), each run on a single
+// file at a path that selects its scope.
+
+const std::vector<std::string> kConventionRules = {
+    "determinism",   "unordered-output", "float-eq",
+    "iostream",      "pragma-once",      "include-order",
+    "require-guard", "metric-name",      "raw-thread"};
+
+std::vector<Finding> check_file(const std::string& path,
+                          const std::string& content) {
+  return analyze({{path, content}}, kConventionRules).findings;
+}
+
+std::vector<std::string> rules_of(const std::vector<Finding>& findings) {
+  std::vector<std::string> rules;
+  rules.reserve(findings.size());
+  for (const Finding& f : findings) rules.push_back(f.rule);
+  return rules;
+}
+
+bool has_rule(const std::vector<Finding>& findings, const std::string& rule) {
+  return std::any_of(findings.begin(), findings.end(),
+                     [&](const Finding& f) { return f.rule == rule; });
+}
+
+TEST(Determinism, CatchesRandAndClocks) {
+  auto findings = check_file(
+      "src/sim/bad.cpp",
+      "#include \"sim/bad.hpp\"\n\nvoid f() {\n  int x = rand();\n"
+      "  auto t = std::chrono::steady_clock::now();\n"
+      "  std::random_device rd;\n}\n");
+  std::vector<std::string> rules = rules_of(findings);
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "determinism"), 3);
+}
+
+TEST(Determinism, OnlyFiresInSimVirtSched) {
+  const std::string body =
+      "#include \"util/bad.hpp\"\n\nint f() { return rand(); }\n";
+  EXPECT_TRUE(has_rule(check_file("src/virt/bad.cpp", body), "determinism"));
+  EXPECT_TRUE(has_rule(check_file("src/sched/bad.cpp", body), "determinism"));
+  EXPECT_FALSE(has_rule(check_file("src/util/bad.cpp", body), "determinism"));
+}
+
+TEST(Determinism, CoversReplayAndRunstore) {
+  const std::string body =
+      "#include \"replay/bad.hpp\"\n\nint f() { return rand(); }\n";
+  EXPECT_TRUE(
+      has_rule(check_file("src/replay/bad.cpp", body), "determinism"));
+  EXPECT_TRUE(
+      has_rule(check_file("src/runstore/bad.cpp", body), "determinism"));
+  EXPECT_TRUE(
+      has_rule(check_file("src/migrate/bad.cpp", body), "determinism"));
+}
+
+TEST(UnorderedOutput, FiresOnlyInSerializationDirs) {
+  const std::string body =
+      "#include <unordered_map>\n\n"
+      "std::unordered_map<std::string, int> g_index;\n";
+  EXPECT_TRUE(has_rule(check_file("src/replay/bad.cpp", body),
+                       "unordered-output"));
+  EXPECT_TRUE(has_rule(check_file("src/runstore/bad.hpp", body),
+                       "unordered-output"));
+  // Migration plans land in the decision log, which byte-compares
+  // across --threads, so src/migrate is serialization scope too.
+  EXPECT_TRUE(has_rule(check_file("src/migrate/bad.cpp", body),
+                       "unordered-output"));
+  // Hash containers are fine where iteration order never reaches a
+  // serialized byte stream.
+  EXPECT_FALSE(has_rule(check_file("src/sim/ok.cpp", body),
+                        "unordered-output"));
+  EXPECT_FALSE(has_rule(check_file("src/util/ok.cpp", body),
+                        "unordered-output"));
+}
+
+TEST(UnorderedOutput, OrderedContainersAndProseAreQuiet) {
+  auto findings = check_file(
+      "src/runstore/ok.cpp",
+      "#include \"runstore/ok.hpp\"\n\n#include <map>\n\n"
+      "// unordered_map would break byte stability here\n"
+      "std::map<std::string, int> g_index;\n");
+  EXPECT_FALSE(has_rule(findings, "unordered-output"));
+}
+
+TEST(Determinism, IgnoresCommentsStringsAndSimilarNames) {
+  auto findings = check_file(
+      "src/sim/ok.cpp",
+      "#include \"sim/ok.hpp\"\n\n// calls time() hourly\n"
+      "const char* kLabel = \"rand()\";\n"
+      "double predict_runtime(double solo_runtime_s);\n");
+  EXPECT_FALSE(has_rule(findings, "determinism"));
+}
+
+TEST(Determinism, RawStringLiteralsNeverFire) {
+  // Regression: the old line-stripper resynced at the first inner
+  // quote of a raw string, leaving its tail parsed as code. The
+  // tokenizer-backed rule must swallow the whole R"(...)" literal —
+  // embedded quotes, RNG names, and all.
+  auto findings = check_file(
+      "src/sim/doc.cpp",
+      "#include \"sim/doc.hpp\"\n\n"
+      "const char* kDoc = R\"(say \"rand()\" and clock() out loud)\";\n"
+      "const char* kJson = R\"json({\"seed\": \"time(0)\"})json\";\n");
+  EXPECT_FALSE(has_rule(findings, "determinism"));
+}
+
+TEST(ListRules, CatalogCoversEveryRule) {
+  std::vector<std::string> names;
+  for (const RuleInfo& rule : rule_catalog()) {
+    names.push_back(rule.name);
+    EXPECT_FALSE(rule.summary.empty()) << rule.name;
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "layering", "mutable-global", "determinism-taint",
+                       "parallel-discipline", "determinism",
+                       "unordered-output", "float-eq", "iostream",
+                       "pragma-once", "include-order", "require-guard",
+                       "metric-name", "raw-thread"}));
+}
+
+TEST(FloatEq, CatchesLiteralComparisonsBothSides) {
+  auto findings = check_file(
+      "src/virt/bad.cpp",
+      "#include \"virt/bad.hpp\"\n\nbool f(double x) {\n"
+      "  if (x == 0.0) return true;\n  return 1.5 != x;\n}\n");
+  std::vector<std::string> rules = rules_of(findings);
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "float-eq"), 2);
+}
+
+TEST(FloatEq, AllowsIntegerComparisonsAndStatsCode) {
+  EXPECT_FALSE(has_rule(
+      check_file("src/virt/ok.cpp",
+                   "#include \"virt/ok.hpp\"\n\nbool f(int x) "
+                   "{ return x == 0 || x != 10; }\n"),
+      "float-eq"));
+  EXPECT_FALSE(has_rule(
+      check_file("src/stats/kernel.cpp",
+                   "#include \"stats/kernel.hpp\"\n\nbool f(double x) "
+                   "{ return x == 0.0; }\n"),
+      "float-eq"));
+}
+
+TEST(Iostream, CatchesIncludeAndStreamUse) {
+  auto findings = check_file(
+      "src/model/bad.cpp",
+      "#include \"model/bad.hpp\"\n\n#include <iostream>\n\n"
+      "void f() { std::cout << 1; }\n");
+  std::vector<std::string> rules = rules_of(findings);
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "iostream"), 2);
+}
+
+TEST(Iostream, LoggerItselfIsExempt) {
+  EXPECT_FALSE(has_rule(
+      check_file("src/util/log.cpp",
+                   "#include \"util/log.hpp\"\n\n#include <iostream>\n"),
+      "iostream"));
+}
+
+TEST(PragmaOnce, MissingGuardIsFlagged) {
+  EXPECT_TRUE(has_rule(
+      check_file("src/sim/bad.hpp", "#include <vector>\nint f();\n"),
+      "pragma-once"));
+  EXPECT_FALSE(has_rule(
+      check_file("src/sim/ok.hpp",
+                   "// A comment first is fine.\n#pragma once\nint f();\n"),
+      "pragma-once"));
+}
+
+TEST(IncludeOrder, OwnHeaderMustComeFirst) {
+  auto findings = check_file(
+      "src/sim/thing.cpp",
+      "#include <vector>\n\n#include \"sim/thing.hpp\"\n\nint f();\n");
+  EXPECT_TRUE(has_rule(findings, "include-order"));
+}
+
+TEST(IncludeOrder, SystemBeforeProjectAndSorted) {
+  EXPECT_TRUE(has_rule(
+      check_file("src/sim/a.cpp",
+                   "#include \"sim/a.hpp\"\n\n#include \"util/log.hpp\"\n"
+                   "#include <vector>\n"),
+      "include-order"));
+  EXPECT_TRUE(has_rule(
+      check_file("src/sim/b.cpp",
+                   "#include \"sim/b.hpp\"\n\n#include <vector>\n"
+                   "#include <algorithm>\n"),
+      "include-order"));
+  EXPECT_FALSE(has_rule(
+      check_file("src/sim/c.cpp",
+                   "#include \"sim/c.hpp\"\n\n#include <algorithm>\n"
+                   "#include <vector>\n\n#include \"util/error.hpp\"\n"
+                   "#include \"util/log.hpp\"\n"),
+      "include-order"));
+}
+
+TEST(RequireGuard, UnguardedConstructorIsFlagged) {
+  auto findings = check_file(
+      "src/sched/widget.cpp",
+      "#include \"sched/widget.hpp\"\n\nnamespace tracon {\n"
+      "Widget::Widget(int n) : n_(n) {}\n}\n");
+  EXPECT_TRUE(has_rule(findings, "require-guard"));
+}
+
+TEST(RequireGuard, GuardedDefaultedAndZeroArgPass) {
+  const std::string ok =
+      "#include \"sched/widget.hpp\"\n\nnamespace tracon {\n"
+      "Widget::Widget(int n) : n_(n) {\n"
+      "  TRACON_REQUIRE(n > 0, \"n must be positive\");\n}\n"
+      "Gadget::Gadget() {}\n"
+      "Sprocket::Sprocket(const Sprocket&) = default;\n}\n";
+  EXPECT_FALSE(has_rule(check_file("src/sched/widget.cpp", ok),
+                        "require-guard"));
+}
+
+TEST(Determinism, ObsIsCoveredButScopeTimerIsExempt) {
+  const std::string body =
+      "#include \"obs/bad.hpp\"\n\n"
+      "double f() { return std::chrono::steady_clock::now()"
+      ".time_since_epoch().count(); }\n";
+  EXPECT_TRUE(has_rule(check_file("src/obs/bad.cpp", body), "determinism"));
+  EXPECT_FALSE(has_rule(
+      check_file("src/obs/scope_timer.cpp",
+                   "#include \"obs/scope_timer.hpp\"\n\n" + body.substr(body.find("double"))),
+      "determinism"));
+  EXPECT_FALSE(has_rule(check_file("src/obs/scope_timer.hpp",
+                                     "#pragma once\nint now() { return "
+                                     "clock(); }\n"),
+                        "determinism"));
+}
+
+TEST(MetricName, BadLiteralsAreFlaggedAtEveryRegistrationSite) {
+  auto findings = check_file(
+      "src/obs/bad_metrics.cpp",
+      "#include \"obs/bad_metrics.hpp\"\n\nvoid f(R& m) {\n"
+      "  m.counter(\"Sched.Decisions\").inc();\n"
+      "  m.gauge(\"sched queue\").set(1.0);\n"
+      "  m.histogram(\"sched..placed\", {1.0}).observe(1.0);\n"
+      "  TRACON_PROF_SCOPE(\"MixRotate\");\n"
+      "  KvLine(\"9bad.event\");\n}\n");
+  std::vector<std::string> rules = rules_of(findings);
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "metric-name"), 5);
+}
+
+TEST(MetricName, ValidPathsVariablesAndProseAreQuiet) {
+  auto findings = check_file(
+      "src/obs/ok_metrics.cpp",
+      "#include \"obs/ok_metrics.hpp\"\n\nvoid f(R& m, const std::string& n) "
+      "{\n"
+      "  m.counter(\"sched.mios.decisions\").inc();\n"
+      "  m.counter(n).inc();\n"
+      "  m.counter(prefix + \".samples\").inc();\n"
+      "  // counter(\"Not Code\") in a comment\n"
+      "  log(\"histogram (\\\"Loose Prose\\\")\");\n"
+      "  TRACON_PROF_SCOPE(\"stats.nls.gauss_newton\");\n}\n");
+  EXPECT_FALSE(has_rule(findings, "metric-name"));
+}
+
+TEST(Determinism, SnapshotCodeMustNotReadWallClocks) {
+  // The snapshot sampler's whole contract is virtual-clock timestamps;
+  // every C time-formatting entry point counts as a violation.
+  auto findings = check_file(
+      "src/obs/snapshot_bad.cpp",
+      "#include \"obs/snapshot_bad.hpp\"\n\nvoid f() {\n"
+      "  std::time_t t; timespec_get(nullptr, 0);\n"
+      "  char buf[64]; strftime(buf, 64, \"%F\", nullptr);\n"
+      "  const char* s = ctime(&t);\n"
+      "  double d = difftime(t, t);\n}\n");
+  std::vector<std::string> rules = rules_of(findings);
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "determinism"), 4);
+}
+
+TEST(MetricName, TrackAccuracyLiteralsAreChecked) {
+  auto findings = check_file(
+      "src/obs/snapshot_names.cpp",
+      "#include \"obs/snapshot_names.hpp\"\n\nvoid f(S& s, const W* w) {\n"
+      "  s.track_accuracy(\"Model.NLM.Runtime\", w);\n"
+      "  s.track_accuracy(\"model.nlm.runtime\", w);\n"
+      "  s.track_accuracy(family + \".runtime\", w);\n}\n");
+  std::vector<std::string> rules = rules_of(findings);
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "metric-name"), 1);
+}
+
+TEST(MetricName, SuppressionTagWorks) {
+  EXPECT_FALSE(has_rule(
+      check_file("src/obs/sup_metrics.cpp",
+                   "#include \"obs/sup_metrics.hpp\"\n\nvoid f(R& m) {\n"
+                   "  // legacy dashboard key: "
+                   "TRACON_ANALYZE_ALLOW(metric-name): external schema\n"
+                   "  m.counter(\"Legacy-Key\").inc();\n}\n"),
+      "metric-name"));
+}
+
+TEST(RawThread, CatchesPrimitivesAndHeadersOutsideSanctionedDirs) {
+  EXPECT_TRUE(has_rule(
+      check_file("src/sched/bad.cpp",
+                   "#include \"sched/bad.hpp\"\n\nstd::thread t;\n"),
+      "raw-thread"));
+  EXPECT_TRUE(has_rule(
+      check_file("src/sim/bad.cpp",
+                   "#include \"sim/bad.hpp\"\n\nstd::mutex m;\n"),
+      "raw-thread"));
+  EXPECT_TRUE(has_rule(
+      check_file("src/obs/bad.cpp",
+                   "#include \"obs/bad.hpp\"\n\n"
+                   "auto f = std::async([] { return 1; });\n"),
+      "raw-thread"));
+  EXPECT_TRUE(has_rule(check_file("src/virt/bad.cpp",
+                                    "#include \"virt/bad.hpp\"\n\n"
+                                    "#include <atomic>\n"),
+                       "raw-thread"));
+  EXPECT_TRUE(has_rule(
+      check_file("src/model/bad.cpp",
+                   "#include \"model/bad.hpp\"\n\n"
+                   "void f() { pthread_create(nullptr, nullptr, "
+                   "nullptr, nullptr); }\n"),
+      "raw-thread"));
+}
+
+TEST(RawThread, SanctionedHomesAreExempt) {
+  const std::string body =
+      "#include <mutex>\n#include <thread>\n\nstd::mutex m;\n";
+  EXPECT_FALSE(has_rule(check_file("src/util/parallel.cpp",
+                                     "#include \"util/parallel.hpp\"\n\n" +
+                                         body),
+                        "raw-thread"));
+  EXPECT_FALSE(has_rule(
+      check_file("src/sim/shard_scenario.cpp",
+                   "#include \"sim/shard_scenario.hpp\"\n\n" + body),
+      "raw-thread"));
+  // The profiler's registration lock rides the scope_timer exemption.
+  EXPECT_FALSE(has_rule(
+      check_file("src/obs/scope_timer.cpp",
+                   "#include \"obs/scope_timer.hpp\"\n\nstd::mutex m;\n"),
+      "raw-thread"));
+  // Prose and strings never fire.
+  EXPECT_FALSE(has_rule(
+      check_file("src/sched/ok.cpp",
+                   "#include \"sched/ok.hpp\"\n\n"
+                   "// std::thread is quarantined to util\n"
+                   "const char* kDoc = \"std::mutex\";\n"),
+      "raw-thread"));
+}
+
+TEST(RawThread, SuppressionTagApplies) {
+  EXPECT_FALSE(has_rule(
+      check_file("src/sched/sup.cpp",
+                   "#include \"sched/sup.hpp\"\n\n"
+                   "// TRACON_ANALYZE_ALLOW(raw-thread): test fixture\n"
+                   "std::atomic<int> n;\n"),
+      "raw-thread"));
+}
+
+TEST(Suppression, LineAndFileTagsSilenceFindings) {
+  EXPECT_FALSE(has_rule(
+      check_file("src/sim/sup.cpp",
+           "#include \"sim/sup.hpp\"\n\n"
+           "// seeded entropy is fine here: "
+           "TRACON_ANALYZE_ALLOW(determinism): fixture\nint x = rand();\n"),
+      "determinism"));
+  // There is no file-wide form: a tag covers the line below it only.
+  std::vector<Finding> findings =
+      check_file("src/sim/supfile.cpp",
+           "#include \"sim/supfile.hpp\"\n\n"
+           "// TRACON_ANALYZE_ALLOW(determinism): fixture\n"
+           "int x = rand();\nint y = rand();\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "determinism");
+  EXPECT_EQ(findings[0].line, 5u);
+}
+
+TEST(Scope, NonSourceFilesAndNonSrcPathsAreIgnored) {
+  EXPECT_TRUE(check_file("tools/lint/x.cpp", "int x = rand();\n").empty());
+  EXPECT_TRUE(check_file("src/sim/notes.md", "rand()\n").empty());
+}
+
+TEST(Findings, FormatIsCompilerStyle) {
+  AnalysisResult r;
+  r.findings = {{"src/sim/bad.cpp", 4, "determinism", "no clocks"}};
+  const std::string text = render_text(r);
+  EXPECT_EQ(text.substr(0, text.find('\n')),
+            "src/sim/bad.cpp:4: [determinism] no clocks");
+}
+
+TEST(Determinism, CatalogueCoversMrand48AndRandR) {
+  std::vector<Finding> findings =
+      check_file("src/sim/rng.cpp",
+           "#include \"sim/rng.hpp\"\n\n"
+           "int f(unsigned* s) { return mrand48() + rand_r(s); }\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "determinism");
+  EXPECT_EQ(findings[0].line, 3u);
+}
+
 // --------------------------------------------------------------- suppression
 
 TEST(Suppression, AllowWithReasonSuppresses) {
@@ -403,8 +798,8 @@ TEST(Pipeline, RuleFilterRunsOnlyThatPass) {
 
 TEST(Pipeline, FindingsAreSortedAndDeterministic) {
   std::vector<SourceFile> fixture = {
-      {"src/util/z.hpp", "#include \"sim/engine.hpp\"\n"},
-      {"src/util/a.hpp", "#include \"sim/engine.hpp\"\n"},
+      {"src/util/z.hpp", "#pragma once\n#include \"sim/engine.hpp\"\n"},
+      {"src/util/a.hpp", "#pragma once\n#include \"sim/engine.hpp\"\n"},
       {"src/sim/engine.hpp", "#pragma once\n"},
   };
   AnalysisResult r1 = analyze(fixture);
@@ -418,7 +813,8 @@ TEST(Pipeline, FindingsAreSortedAndDeterministic) {
 
 TEST(Report, JsonShape) {
   AnalysisResult r = analyze({
-      {"src/util/helper.hpp", "#include \"sim/engine.hpp\"\n"},
+      {"src/util/helper.hpp",
+       "#pragma once\n#include \"sim/engine.hpp\"\n"},
       {"src/sim/engine.hpp", "#pragma once\n"},
   });
   std::string json = render_json(r);
@@ -438,11 +834,12 @@ TEST(Report, JsonShape) {
 
 TEST(Report, TextRendersCompilerStyle) {
   AnalysisResult r = analyze({
-      {"src/util/helper.hpp", "#include \"sim/engine.hpp\"\n"},
+      {"src/util/helper.hpp",
+       "#pragma once\n#include \"sim/engine.hpp\"\n"},
       {"src/sim/engine.hpp", "#pragma once\n"},
   });
   std::string text = render_text(r);
-  EXPECT_NE(text.find("src/util/helper.hpp:1: [layering]"),
+  EXPECT_NE(text.find("src/util/helper.hpp:2: [layering]"),
             std::string::npos);
   EXPECT_NE(text.find("tracon_analyze: 1 finding(s), 0 suppressed, 2 "
                       "files"),
@@ -450,8 +847,10 @@ TEST(Report, TextRendersCompilerStyle) {
 }
 
 TEST(Report, RuleCatalogHasAllFourPasses) {
+  // The four project-wide passes lead the catalogue; the nine
+  // per-file convention rules follow (ListRules.CatalogCoversEveryRule).
   const std::vector<RuleInfo>& rules = rule_catalog();
-  ASSERT_EQ(rules.size(), 4u);
+  ASSERT_EQ(rules.size(), 13u);
   EXPECT_EQ(rules[0].name, "layering");
   EXPECT_EQ(rules[1].name, "mutable-global");
   EXPECT_EQ(rules[2].name, "determinism-taint");

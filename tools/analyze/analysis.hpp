@@ -1,9 +1,8 @@
-// tracon_analyze: semantic static-analysis framework for the TRACON
-// tree. Where tracon_lint matches line regexes, this layer parses —
-// a real token stream (tools/analyze/tokenizer.hpp), the project
+// tracon_analyze: the static analyzer for the TRACON tree. It parses
+// — a real token stream (tools/analyze/tokenizer.hpp), the project
 // include graph (tools/analyze/include_graph.hpp), and a per-file
-// symbol scan — and feeds a pass pipeline that enforces the repo's two
-// architectural contracts statically:
+// symbol scan — and feeds a pass pipeline. Four passes enforce the
+// repo's two architectural contracts across the project:
 //
 //   layering             the module DAG (util -> obs -> stats/virt ->
 //                        workload/monitor -> model -> sched -> sim ->
@@ -14,19 +13,25 @@
 //                        non-const static locals are forbidden in src/
 //                        — shared mutable state is how `--threads N`
 //                        stops being byte-identical to `--threads 1`.
-//   determinism-taint    a nondeterminism source (wall clock, global
-//                        RNG, unordered-container iteration order,
-//                        pointer-keyed std::map/std::set ordering,
-//                        thread identity) anywhere in src/ is an error
-//                        when the include graph shows it can share a
-//                        translation unit with an emitter (src/obs,
-//                        src/replay, src/runstore — the code whose
+//   determinism-taint    a nondeterminism source (global RNG, wall
+//                        clock, environment, unordered-container
+//                        iteration order, pointer-keyed
+//                        std::map/std::set ordering, thread identity)
+//                        anywhere in src/ is an error when the include
+//                        graph shows it can share a translation unit
+//                        with an emitter (src/obs, src/replay,
+//                        src/runstore, src/migrate — the code whose
 //                        bytes are contractually reproducible).
 //   parallel-discipline  inside every `parallel_for` call site, state
 //                        captured by reference must be shard-indexed
 //                        (written through `[i]`) or locally declared;
 //                        anything else is a cross-shard race that the
 //                        determinism CI sweep may or may not catch.
+//
+// Nine more check per-file source conventions in src/ (documented in
+// pass_conventions.cpp): determinism, unordered-output, float-eq,
+// iostream, pragma-once, include-order, require-guard, metric-name,
+// and raw-thread.
 //
 // A finding is suppressed by a comment of the form
 //
@@ -64,7 +69,7 @@ struct RuleInfo {
   std::string summary;
 };
 
-/// The four passes, in pipeline order.
+/// Every rule, in pipeline order.
 const std::vector<RuleInfo>& rule_catalog();
 
 /// Parsed, indexed view of a file: tokens, per-line comments, quoted

@@ -2,62 +2,77 @@
 // replays bit-identically from its seed, so the bytes the system emits
 // (metrics/trace/series/decision-log exports in src/obs, traces in
 // src/replay, stored runs in src/runstore, migration plans in
-// src/migrate) must never be downstream of a nondeterminism source. tracon_lint catches the obvious line hits in
-// a fixed directory list; this pass instead catalogs sources anywhere
-// in src/ and uses the include graph to decide whether each one can
-// share a translation unit with an emitter — if it can, the tainted
-// value has a compile-time path into reproducible output and the
-// finding names the witness TU and emitter.
+// src/migrate) must never be downstream of a nondeterminism source.
+// The `determinism` rule catches RNG and wall-clock hits in a fixed
+// directory list; this pass instead looks for every catalogued source
+// anywhere in src/ and uses the include graph to decide whether each
+// one can share a translation unit with an emitter — if it can, the
+// tainted value has a compile-time path into reproducible output and
+// the finding names the witness TU and emitter.
 //
-// Source catalog:
-//   * global RNG / entropy: rand, srand, drand48, lrand48, mrand48,
-//     rand_r, random (call syntax), std::random_device;
-//   * wall clocks: time/clock (call syntax), gettimeofday,
+// This file also holds the one source catalogue both rules read, each
+// entry tagged with its kind:
+//   * RNG: rand, srand, drand48, lrand48, mrand48, rand_r, random
+//     (call syntax), std::random_device;
+//   * wall clock: time/clock (call syntax), gettimeofday,
 //     clock_gettime, localtime, gmtime, timespec_get, ctime, asctime,
 //     mktime, strftime, difftime, system_clock, steady_clock,
 //     high_resolution_clock;
 //   * environment: getenv (call syntax);
-//   * iteration-order hazards: std::unordered_{map,set,multimap,
-//     multiset} and pointer-keyed std::map/std::set (hash seeds and
-//     heap addresses vary run to run);
+//   * iteration order: std::unordered_{map,set,multimap,multiset} and
+//     pointer-keyed std::map/std::set (hash seeds and heap addresses
+//     vary run to run);
 //   * thread identity: this_thread.
 #include "analyze/passes.hpp"
 
 #include <map>
-#include <set>
 
 namespace tracon::analyze {
 
 namespace {
 
-/// Sources that only count with call syntax: `time(`, `rand(` — the
-/// bare words are too common as fragments of ordinary identifiers'
-/// neighbours (struct fields named `time`, locals named `random`).
-const std::set<std::string>& call_sources() {
-  static const std::set<std::string> kCalls = {
-      "rand", "srand",  "drand48", "lrand48", "mrand48",
-      "rand_r", "random", "time",  "clock",   "getenv",
-  };
-  return kCalls;
-}
-
-/// Sources where the bare identifier is already damning.
-const std::set<std::string>& bare_sources() {
-  static const std::set<std::string> kBare = {
-      "random_device", "system_clock", "steady_clock",
-      "high_resolution_clock", "gettimeofday", "clock_gettime",
-      "localtime", "gmtime", "timespec_get", "ctime", "asctime",
-      "mktime", "strftime", "difftime", "this_thread",
-      "unordered_map", "unordered_set", "unordered_multimap",
-      "unordered_multiset",
-  };
-  return kBare;
-}
-
-struct SourceHit {
-  std::size_t line = 0;
-  std::string what;  ///< the offending spelling, for the message
+struct Source {
+  SourceKind kind;
+  /// Only counts with call syntax: `time(`, `rand(` — the bare words
+  /// are everyday identifiers (struct fields named `time`, locals
+  /// named `random`). Otherwise the bare identifier is already damning.
+  bool call_only;
 };
+
+const std::map<std::string, Source>& catalogue() {
+  static const std::map<std::string, Source> kSources = {
+      {"rand", {kRng, true}},
+      {"srand", {kRng, true}},
+      {"drand48", {kRng, true}},
+      {"lrand48", {kRng, true}},
+      {"mrand48", {kRng, true}},
+      {"rand_r", {kRng, true}},
+      {"random", {kRng, true}},
+      {"random_device", {kRng, false}},
+      {"time", {kWallClock, true}},
+      {"clock", {kWallClock, true}},
+      {"system_clock", {kWallClock, false}},
+      {"steady_clock", {kWallClock, false}},
+      {"high_resolution_clock", {kWallClock, false}},
+      {"gettimeofday", {kWallClock, false}},
+      {"clock_gettime", {kWallClock, false}},
+      {"localtime", {kWallClock, false}},
+      {"gmtime", {kWallClock, false}},
+      {"timespec_get", {kWallClock, false}},
+      {"ctime", {kWallClock, false}},
+      {"asctime", {kWallClock, false}},
+      {"mktime", {kWallClock, false}},
+      {"strftime", {kWallClock, false}},
+      {"difftime", {kWallClock, false}},
+      {"getenv", {kEnvironment, true}},
+      {"unordered_map", {kIterationOrder, false}},
+      {"unordered_set", {kIterationOrder, false}},
+      {"unordered_multimap", {kIterationOrder, false}},
+      {"unordered_multiset", {kIterationOrder, false}},
+      {"this_thread", {kThread, false}},
+  };
+  return kSources;
+}
 
 /// True when the first template argument after `map<`/`set<` ends in
 /// `*` — iteration order of a pointer-keyed ordered container is heap
@@ -83,30 +98,37 @@ bool pointer_keyed(const std::vector<Token>& toks, std::size_t open) {
   return false;
 }
 
-std::vector<SourceHit> scan_sources(const std::vector<Token>& toks) {
+}  // namespace
+
+std::vector<SourceHit> scan_sources(const std::vector<Token>& toks,
+                                    unsigned kinds) {
   std::vector<SourceHit> hits;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind != TokKind::kIdentifier) continue;
     const Token* prev = i > 0 ? &toks[i - 1] : nullptr;
     const Token* next = i + 1 < toks.size() ? &toks[i + 1] : nullptr;
-    const bool member_access =
-        prev && prev->kind == TokKind::kPunct &&
-        (prev->text == "." || prev->text == "->");
-    if (bare_sources().count(t.text) && !member_access) {
-      hits.push_back({t.line, t.text});
+    const bool call = next && next->kind == TokKind::kPunct &&
+                      next->text == "(";
+    auto it = catalogue().find(t.text);
+    if (it != catalogue().end() && (it->second.kind & kinds) != 0) {
+      const bool member_access =
+          prev && prev->kind == TokKind::kPunct &&
+          (prev->text == "." || prev->text == "->");
+      // An identifier directly before (other than `return`) makes this
+      // a declarator — `double clock();` declares a method, not a call.
+      const bool declarator = prev && prev->kind == TokKind::kIdentifier &&
+                              prev->text != "return";
+      if (member_access) continue;
+      if (!it->second.call_only) {
+        hits.push_back({t.line, t.text});
+      } else if (call && !declarator) {
+        hits.push_back({t.line, t.text + "()"});
+      }
       continue;
     }
-    // An identifier directly before (other than `return`) makes this a
-    // declarator — `double clock();` declares a method, not a call.
-    const bool declarator =
-        prev && prev->kind == TokKind::kIdentifier && prev->text != "return";
-    if (call_sources().count(t.text) && !member_access && !declarator &&
-        next && next->kind == TokKind::kPunct && next->text == "(") {
-      hits.push_back({t.line, t.text + "()"});
-      continue;
-    }
-    if ((t.text == "map" || t.text == "set") && next &&
+    if ((kinds & kIterationOrder) != 0 &&
+        (t.text == "map" || t.text == "set") && next &&
         next->kind == TokKind::kPunct && next->text == "<" &&
         pointer_keyed(toks, i + 1)) {
       hits.push_back({t.line, "pointer-keyed std::" + t.text});
@@ -114,8 +136,6 @@ std::vector<SourceHit> scan_sources(const std::vector<Token>& toks) {
   }
   return hits;
 }
-
-}  // namespace
 
 void pass_determinism_taint(const Project& project, Reporter& reporter) {
   const std::vector<FileIndex>& files = project.files();
@@ -165,7 +185,8 @@ void pass_determinism_taint(const Project& project, Reporter& reporter) {
     if (files[i].path.rfind("src/", 0) != 0) continue;
     auto wit = witness_for.find(i);
     if (wit == witness_for.end()) continue;  // never meets an emitter
-    for (const SourceHit& hit : scan_sources(files[i].ts.tokens)) {
+    for (const SourceHit& hit :
+         scan_sources(files[i].ts.tokens, kAllSources)) {
       reporter.report(
           i, hit.line, "determinism-taint",
           "nondeterminism source '" + hit.what + "' reaches emitter '" +

@@ -1,9 +1,9 @@
 // parallel-discipline: the worker-pool contract (util/parallel.hpp)
 // says every index of a parallel_for must touch only its own state —
-// that is what makes the result independent of the thread count. PR 5
-// enforced the perimeter dynamically (CI diffs --threads 1 vs 4) and
-// lexically (tracon_lint's raw-thread quarantine); this pass checks
-// the call sites themselves. Inside the lambda passed to
+// that is what makes the result independent of the thread count. The
+// perimeter is enforced dynamically (CI diffs --threads 1 vs 4) and by
+// the raw-thread rule's quarantine of threading primitives; this pass
+// checks the call sites themselves. Inside the lambda passed to
 // parallel_for, any mutation whose base object was captured by
 // reference must be shard-indexed (written through a subscript, e.g.
 // states[i].outcome = ...) or declared locally inside the body.

@@ -1,4 +1,7 @@
-// tracon_analyze — semantic static analysis for the TRACON tree.
+// tracon_analyze — static analysis for the TRACON tree: the layer
+// DAG, the determinism and parallelism contracts, and the per-file
+// source conventions, all on one tokenizer with one suppression
+// syntax.
 //
 // Usage: tracon_analyze [REPO_ROOT] [options]
 //   REPO_ROOT            tree to scan (default: current directory);
@@ -23,9 +26,13 @@ namespace {
 void print_usage(std::ostream& os) {
   os << "usage: tracon_analyze [REPO_ROOT] [--rule NAME]... [--json FILE]"
         " [--list-rules]\n"
-        "Semantic static analysis: layering, mutable-global,\n"
-        "determinism-taint, parallel-discipline. Suppress a finding with\n"
-        "a comment on the same or preceding line:\n"
+        "Static analysis of REPO_ROOT/{src,tools,bench,tests}. Rules:\n";
+  for (const auto& rule : tracon::analyze::rule_catalog()) {
+    os << "  " << rule.name << "\n";
+  }
+  os << "`--list-rules` prints each rule with its summary. Suppress a\n"
+        "finding with a comment on the same line, or in the comment\n"
+        "block directly above it:\n"
         "  // TRACON_ANALYZE_ALLOW(rule): reason\n";
 }
 

@@ -292,6 +292,17 @@ void stamp_span_fingerprint(obs::Telemetry& tel) {
   }
 }
 
+/// The `completed` line of both dynamic summaries. The normalized
+/// throughput divides by at least one FIFO completion, so a horizon too
+/// short for FIFO to finish anything prints a number, never 0/0.
+void print_completed(std::size_t completed, std::size_t fifo_completed) {
+  std::printf("  completed %zu (FIFO %zu, normalized %.3f)\n", completed,
+              fifo_completed,
+              static_cast<double>(completed) /
+                  static_cast<double>(
+                      std::max<std::size_t>(1, fifo_completed)));
+}
+
 /// App-class id -> benchmark name, for human-readable decision output.
 std::string app_class_name(std::size_t app) {
   const auto& apps = workload::paper_benchmarks();
@@ -692,11 +703,7 @@ int cmd_dynamic_sharded(const ArgParser& args) {
               sched_name.c_str(), cfg.machines, o.shards, o.threads_used,
               cfg.lambda_per_min, cfg.duration_s / 3600.0,
               workload::mix_name(cfg.mix).c_str());
-  std::printf("  completed %zu (FIFO %zu, normalized %.3f)\n",
-              o.total.completed, base.total.completed,
-              static_cast<double>(o.total.completed) /
-                  static_cast<double>(std::max<std::size_t>(
-                      1, base.total.completed)));
+  print_completed(o.total.completed, base.total.completed);
   std::printf("  dropped %zu   mean runtime %.1f s   mean wait %.1f s\n",
               o.total.dropped,
               o.total.total_runtime /
@@ -850,9 +857,7 @@ int cmd_dynamic(const ArgParser& args) {
   std::printf("%s: %zu machines, lambda=%.0f/min, %.1f h, %s mix\n",
               sched->name().c_str(), cfg.machines, cfg.lambda_per_min,
               cfg.duration_s / 3600.0, workload::mix_name(cfg.mix).c_str());
-  std::printf("  completed %zu (FIFO %zu, normalized %.3f)\n", o.completed,
-              base.completed,
-              static_cast<double>(o.completed) / base.completed);
+  print_completed(o.completed, base.completed);
   std::printf("  dropped %zu   mean runtime %.1f s   mean wait %.1f s\n",
               o.dropped, o.total_runtime / std::max<std::size_t>(1, o.completed),
               o.mean_wait_s);
