@@ -1,6 +1,7 @@
 #include "obs/decision_log.hpp"
 
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -16,48 +17,40 @@ namespace {
 
 // An empty machine is spelled as the string "empty" so a candidate's
 // co-runner column is never confused with app class 0.
-std::string neighbour_json(const std::optional<std::size_t>& neighbour) {
-  if (!neighbour.has_value()) return "\"empty\"";
-  return std::to_string(*neighbour);
+void append_neighbour(std::string& out,
+                      const std::optional<std::size_t>& neighbour) {
+  if (neighbour.has_value()) {
+    append_uint(out, *neighbour);
+  } else {
+    out += "\"empty\"";
+  }
 }
 
-std::string number_array(const std::vector<double>& values) {
-  std::string out = "[";
+void append_number_array(std::string& out, const std::vector<double>& values) {
+  out += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) out += ", ";
-    out += json_number(values[i]);
+    append_json_number(out, values[i]);
   }
-  out += "]";
-  return out;
+  out += ']';
 }
 
-std::string string_array(const std::vector<std::string>& values) {
-  std::string out = "[";
+void append_string_array(std::string& out,
+                         const std::vector<std::string>& values) {
+  out += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) out += ", ";
     out += '"';
-    out += json_escape(values[i]);
+    append_escaped(out, values[i]);
     out += '"';
   }
-  out += "]";
-  return out;
-}
-
-std::string header_line(int version,
-                        const std::map<std::string, std::string>& fingerprint) {
-  JsonLineWriter stamp;
-  for (const auto& [key, value] : fingerprint) stamp.field(key, value);
-  return JsonLineWriter()
-      .field("schema", kDecisionLogSchema)
-      .field("version", version)
-      .raw_field("fingerprint", stamp.str())
-      .str();
+  out += ']';
 }
 
 // Shared by DecisionLog::write and write_decision_log so the recorded
 // stream and a re-emitted merged stream are byte-compatible.
-std::string event_line(const DecisionEvent& e) {
-  JsonLineWriter w;
+void append_event(std::string& out, const DecisionEvent& e) {
+  JsonLineWriter w(out);
   if (e.kind == DecisionEvent::Kind::kDecision) {
     w.field("kind", "decision");
     w.field("task", e.task);
@@ -65,20 +58,24 @@ std::string event_line(const DecisionEvent& e) {
     w.field("app", static_cast<std::uint64_t>(e.app));
     w.field("scheduler", e.scheduler);
     w.field("objective", e.objective);
-    w.raw_field("families", string_array(e.families));
-    w.raw_field("weights", number_array(e.weights));
-    std::string candidates = "[";
+    w.key("families");
+    append_string_array(out, e.families);
+    w.key("weights");
+    append_number_array(out, e.weights);
+    w.key("candidates");
+    out += '[';
     for (std::size_t i = 0; i < e.candidates.size(); ++i) {
       const DecisionCandidate& c = e.candidates[i];
-      if (i != 0) candidates += ", ";
-      candidates += JsonLineWriter()
-                        .raw_field("neighbour", neighbour_json(c.neighbour))
-                        .field("score", c.score)
-                        .raw_field("by_family", number_array(c.by_family))
-                        .str();
+      if (i != 0) out += ", ";
+      JsonLineWriter candidate(out);
+      candidate.key("neighbour");
+      append_neighbour(out, c.neighbour);
+      candidate.field("score", c.score);
+      candidate.key("by_family");
+      append_number_array(out, c.by_family);
+      candidate.close();
     }
-    candidates += "]";
-    w.raw_field("candidates", candidates);
+    out += ']';
     w.field("chosen", static_cast<std::uint64_t>(e.chosen));
     w.field("margin", e.margin);
     w.field("predicted_runtime_s", e.predicted_runtime_s);
@@ -92,9 +89,11 @@ std::string event_line(const DecisionEvent& e) {
     w.field("t", e.time_s);
     w.field("app", static_cast<std::uint64_t>(e.app));
     w.field("from_machine", static_cast<std::uint64_t>(e.from_machine));
-    w.raw_field("from_neighbour", neighbour_json(e.from_neighbour));
+    w.key("from_neighbour");
+    append_neighbour(out, e.from_neighbour);
     w.field("machine", static_cast<std::uint64_t>(e.machine));
-    w.raw_field("neighbour", neighbour_json(e.neighbour));
+    w.key("neighbour");
+    append_neighbour(out, e.neighbour);
     w.field("predicted_stay_s", e.predicted_stay_s);
     w.field("predicted_move_s", e.predicted_move_s);
     w.field("downtime_s", e.downtime_s);
@@ -106,7 +105,8 @@ std::string event_line(const DecisionEvent& e) {
     w.field("task", e.task);
     w.field("t", e.time_s);
     w.field("app", static_cast<std::uint64_t>(e.app));
-    w.raw_field("neighbour", neighbour_json(e.neighbour));
+    w.key("neighbour");
+    append_neighbour(out, e.neighbour);
     w.field("runtime_s", e.runtime_s);
     w.field("iops", e.iops);
     w.field("solo_runtime_s", e.solo_runtime_s);
@@ -114,7 +114,8 @@ std::string event_line(const DecisionEvent& e) {
       w.field("machine", static_cast<std::uint64_t>(e.machine));
     }
   }
-  return w.str();
+  w.close();
+  out += '\n';
 }
 
 double number_field(const JsonValue& obj, const std::string& key,
@@ -293,14 +294,28 @@ void DecisionLog::append(DecisionEvent event) {
   events_.push_back(std::move(event));
 }
 
+void DecisionLog::append(std::vector<DecisionEvent> events) {
+  if (events_.empty()) {
+    events_ = std::move(events);
+    return;
+  }
+  events_.insert(events_.end(), std::make_move_iterator(events.begin()),
+                 std::make_move_iterator(events.end()));
+}
+
+std::vector<DecisionEvent> DecisionLog::take_events() {
+  decision_index_.clear();
+  return std::exchange(events_, {});
+}
+
 void DecisionLog::set_fingerprint(const std::string& key,
                                   const std::string& value) {
   fingerprint_[key] = value;
 }
 
 void DecisionLog::write(std::ostream& os) const {
-  os << header_line(kJsonlSchemaVersion, fingerprint_) << "\n";
-  for (const DecisionEvent& e : events_) os << event_line(e) << "\n";
+  write_fingerprinted(os, kDecisionLogSchema, kJsonlSchemaVersion,
+                      fingerprint_, events_, append_event);
 }
 
 std::string DecisionLog::str() const {
@@ -347,8 +362,8 @@ DecisionDoc parse_decision_log(const std::string& text) {
 }
 
 void write_decision_log(std::ostream& os, const DecisionDoc& doc) {
-  os << header_line(doc.version, doc.fingerprint) << "\n";
-  for (const DecisionEvent& e : doc.events) os << event_line(e) << "\n";
+  write_fingerprinted(os, kDecisionLogSchema, doc.version, doc.fingerprint,
+                      doc.events, append_event);
 }
 
 std::string decision_log_str(const DecisionDoc& doc) {

@@ -24,10 +24,10 @@
 // Determinism contract (DESIGN.md §6g): timestamps come from the
 // virtual clock only, doubles go through the shortest round-trip
 // writer, and the sharded runner merges per-shard logs by re-indexing
-// machine/task ids and stable-sorting on time — `--threads N` writes
-// byte-identical logs to `--threads 1`. Recording is gated on
-// enabled(): when off, every record call returns immediately and no
-// simulation output changes by a byte.
+// machine/task ids and ordering records by (time, shard, position) —
+// `--threads N` writes byte-identical logs to `--threads 1`. Recording
+// is gated on enabled(): when off, every record call returns
+// immediately and no simulation output changes by a byte.
 #pragma once
 
 #include <cstddef>
@@ -141,9 +141,14 @@ class DecisionLog {
   /// Appends a pre-built event verbatim — the sharded merge path,
   /// after re-indexing ids. Ignores the enabled gate.
   void append(DecisionEvent event);
+  /// Appends a whole merged stream at once, moving the events in.
+  void append(std::vector<DecisionEvent> events);
 
   std::size_t size() const { return events_.size(); }
   const std::vector<DecisionEvent>& events() const { return events_; }
+  /// Moves every recorded event out, leaving the log empty (the sharded
+  /// merge consumes per-shard logs this way instead of copying them).
+  std::vector<DecisionEvent> take_events();
 
   /// Reproducibility stamp emitted in the header line. Deliberately
   /// excludes the thread count so logs stay byte-comparable across

@@ -1,12 +1,13 @@
 #include "obs/event_tracer.hpp"
 
-#include <ostream>
+#include <string>
+#include <utility>
 
-#include "obs/metrics.hpp"
+#include "obs/jsonl.hpp"
 
 namespace tracon::obs {
 
-std::string trace_event_kind_name(TraceEventKind kind) {
+std::string_view trace_event_kind_name(TraceEventKind kind) {
   switch (kind) {
     case TraceEventKind::kTaskArrival: return "sim.task.arrival";
     case TraceEventKind::kTaskDropped: return "sim.task.dropped";
@@ -25,77 +26,110 @@ namespace {
 
 /// pid 0 hosts the per-machine timelines; pid 1 the control plane
 /// (queue, scheduler, model) so Perfetto groups them separately.
-constexpr int kHostsPid = 0;
-constexpr int kControlPid = 1;
+constexpr std::size_t kHostsPid = 0;
+constexpr std::size_t kControlPid = 1;
 
 bool machine_scoped(const TraceEvent& ev) {
   return ev.machine != TraceEvent::kNone;
 }
 
-void write_args_json(std::ostream& os, const TraceEvent& ev) {
-  os << "{";
-  bool first = true;
-  auto field = [&](const char* key, const std::string& value) {
-    os << (first ? "" : ", ") << "\"" << key << "\": " << value;
-    first = false;
-  };
-  if (ev.app != TraceEvent::kNone) field("app", std::to_string(ev.app));
-  if (ev.machine != TraceEvent::kNone) {
-    field("machine", std::to_string(ev.machine));
+// The fields both exports share, in order: [app] [machine] count value
+// value2, each after ", " except the first, which follows `lead`. The
+// writers append constant text directly rather than going through
+// JsonLineWriter: every key is fixed, and the tracer export is the
+// largest file a run writes.
+void append_fields(std::string& out, const TraceEvent& ev,
+                   std::string_view lead) {
+  if (ev.app != TraceEvent::kNone) {
+    out += lead;
+    out += "\"app\": ";
+    append_uint(out, ev.app);
+    lead = ", ";
   }
-  field("count", std::to_string(ev.count));
-  field("value", format_double(ev.value));
-  field("value2", format_double(ev.value2));
-  os << "}";
+  if (machine_scoped(ev)) {
+    out += lead;
+    out += "\"machine\": ";
+    append_uint(out, ev.machine);
+    lead = ", ";
+  }
+  out += lead;
+  out += "\"count\": ";
+  append_uint(out, ev.count);
+  out += ", \"value\": ";
+  append_g10(out, ev.value);
+  out += ", \"value2\": ";
+  append_g10(out, ev.value2);
 }
 
 }  // namespace
 
+void EventTracer::append(std::vector<TraceEvent> events) {
+  const std::size_t room =
+      max_events_ > events_.size() ? max_events_ - events_.size() : 0;
+  if (events.size() > room) {
+    dropped_ += events.size() - room;
+    events.resize(room);
+  }
+  if (events_.empty()) {
+    events_ = std::move(events);
+    return;
+  }
+  events_.insert(events_.end(), events.begin(), events.end());
+}
+
 void EventTracer::write_chrome_json(std::ostream& os) const {
-  os << "{\"traceEvents\": [\n";
-  os << "  {\"ph\": \"M\", \"pid\": " << kHostsPid
-     << ", \"tid\": 0, \"name\": \"process_name\", "
-        "\"args\": {\"name\": \"hosts\"}},\n";
-  os << "  {\"ph\": \"M\", \"pid\": " << kControlPid
-     << ", \"tid\": 0, \"name\": \"process_name\", "
-        "\"args\": {\"name\": \"control\"}}";
+  ChunkedWriter sink(os);
+  std::string& out = sink.buf();
+  out += "{\"traceEvents\": [\n"
+         "  {\"ph\": \"M\", \"pid\": 0, \"tid\": 0, \"name\": "
+         "\"process_name\", \"args\": {\"name\": \"hosts\"}},\n"
+         "  {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": "
+         "\"process_name\", \"args\": {\"name\": \"control\"}}";
   for (const TraceEvent& ev : events_) {
-    os << ",\n  {";
-    if (ev.kind == TraceEventKind::kTaskCompleted &&
-        ev.machine != TraceEvent::kNone) {
+    if (ev.kind == TraceEventKind::kTaskCompleted && machine_scoped(ev)) {
       // The completed task becomes a duration slice covering its whole
       // residence on the machine (value = realized runtime in seconds).
-      double start_us = (ev.time_s - ev.value) * 1e6;
-      os << "\"ph\": \"X\", \"name\": \"app_" << ev.app << "\", "
-         << "\"cat\": \"task\", \"ts\": " << format_double(start_us)
-         << ", \"dur\": " << format_double(ev.value * 1e6)
-         << ", \"pid\": " << kHostsPid << ", \"tid\": " << ev.machine;
+      out += ",\n  {\"ph\": \"X\", \"name\": \"app_";
+      append_uint(out, ev.app);
+      out += "\", \"cat\": \"task\", \"ts\": ";
+      append_g10(out, (ev.time_s - ev.value) * 1e6);
+      out += ", \"dur\": ";
+      append_g10(out, ev.value * 1e6);
+      out += ", \"pid\": ";
+      append_uint(out, kHostsPid);
+      out += ", \"tid\": ";
+      append_uint(out, ev.machine);
     } else {
-      int pid = machine_scoped(ev) ? kHostsPid : kControlPid;
-      std::size_t tid = machine_scoped(ev) ? ev.machine : 0;
-      os << "\"ph\": \"i\", \"s\": \"t\", \"name\": \""
-         << trace_event_kind_name(ev.kind) << "\", \"cat\": \"sim\", "
-         << "\"ts\": " << format_double(ev.time_s * 1e6)
-         << ", \"pid\": " << pid << ", \"tid\": " << tid;
+      const bool scoped = machine_scoped(ev);
+      out += ",\n  {\"ph\": \"i\", \"s\": \"t\", \"name\": \"";
+      out += trace_event_kind_name(ev.kind);
+      out += "\", \"cat\": \"sim\", \"ts\": ";
+      append_g10(out, ev.time_s * 1e6);
+      out += ", \"pid\": ";
+      append_uint(out, scoped ? kHostsPid : kControlPid);
+      out += ", \"tid\": ";
+      append_uint(out, scoped ? ev.machine : 0);
     }
-    os << ", \"args\": ";
-    write_args_json(os, ev);
-    os << "}";
+    out += ", \"args\": {";
+    append_fields(out, ev, "");
+    out += "}}";
+    sink.end_record();
   }
-  os << "\n], \"displayTimeUnit\": \"ms\"}\n";
+  out += "\n], \"displayTimeUnit\": \"ms\"}\n";
 }
 
 void EventTracer::write_jsonl(std::ostream& os) const {
+  ChunkedWriter sink(os);
+  std::string& out = sink.buf();
   for (const TraceEvent& ev : events_) {
-    os << "{\"time_s\": " << format_double(ev.time_s) << ", \"kind\": \""
-       << trace_event_kind_name(ev.kind) << "\"";
-    if (ev.app != TraceEvent::kNone) os << ", \"app\": " << ev.app;
-    if (ev.machine != TraceEvent::kNone) {
-      os << ", \"machine\": " << ev.machine;
-    }
-    os << ", \"count\": " << ev.count
-       << ", \"value\": " << format_double(ev.value)
-       << ", \"value2\": " << format_double(ev.value2) << "}\n";
+    out += "{\"time_s\": ";
+    append_g10(out, ev.time_s);
+    out += ", \"kind\": \"";
+    out += trace_event_kind_name(ev.kind);
+    out += '"';
+    append_fields(out, ev, ", ");
+    out += "}\n";
+    sink.end_record();
   }
 }
 

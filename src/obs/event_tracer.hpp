@@ -16,7 +16,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace tracon::obs {
@@ -35,7 +36,7 @@ enum class TraceEventKind : std::uint8_t {
 };
 
 /// Dotted snake_case event name ("sim.task.arrival", "sched.decision").
-std::string trace_event_kind_name(TraceEventKind kind);
+std::string_view trace_event_kind_name(TraceEventKind kind);
 
 struct TraceEvent {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
@@ -71,7 +72,14 @@ class EventTracer {
     events_.push_back(ev);
   }
 
+  /// Appends a whole merged stream at once as record() would, but
+  /// without the enabled gate: events past the cap count as dropped.
+  void append(std::vector<TraceEvent> events);
+
   const std::vector<TraceEvent>& events() const { return events_; }
+  /// Moves every recorded event out, leaving the tracer empty (the
+  /// dropped count is kept).
+  std::vector<TraceEvent> take_events() { return std::exchange(events_, {}); }
   std::size_t capacity() const { return events_.capacity(); }
   void clear() {
     events_.clear();

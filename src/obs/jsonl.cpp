@@ -2,15 +2,35 @@
 
 #include <charconv>
 #include <cstdio>
+#include <ostream>
 #include <stdexcept>
 
 #include "obs/json.hpp"
 
 namespace tracon::obs {
 
-std::string json_escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
+namespace {
+
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+// Pointer-and-length append: std::string's iterator-range overload
+// goes through the general replace path, several times slower for the
+// short runs the writers append.
+void append_range(std::string& out, const char* first, const char* last) {
+  out.append(first, static_cast<std::size_t>(last - first));
+}
+
+}  // namespace
+
+void append_escaped(std::string& out, std::string_view raw) {
+  bool plain = true;
+  for (char c : raw) plain &= !needs_escape(c);
+  if (plain) {
+    out.append(raw);
+    return;
+  }
   for (char c : raw) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -31,29 +51,67 @@ std::string json_escape(std::string_view raw) {
         }
     }
   }
+}
+
+std::string json_escape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  append_escaped(out, raw);
   return out;
 }
 
-std::string json_number(double value) {
+void append_json_number(std::string& out, double value) {
+  // Shortest round-trip representation (std::to_chars default): the
+  // parsed double is bit-identical to `value`, which is what lets a
+  // replayed trace reproduce its recording exactly — %.10g would
+  // quantize arrival times and quietly fork the two simulations.
   char buf[32];
   auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  return std::string(buf, result.ptr);
+  append_range(out, buf, result.ptr);
+}
+
+std::string json_number(double value) {
+  std::string out;
+  append_json_number(out, value);
+  return out;
+}
+
+void append_g10(std::string& out, double value) {
+  char buf[32];
+  auto result = std::to_chars(buf, buf + sizeof(buf), value,
+                              std::chars_format::general, 10);
+  append_range(out, buf, result.ptr);
+}
+
+void append_uint(std::string& out, std::uint64_t value) {
+  char buf[24];
+  auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  append_range(out, buf, result.ptr);
+}
+
+void ChunkedWriter::flush() {
+  if (buf_.empty()) return;
+  os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+  buf_.clear();
 }
 
 void JsonLineWriter::key(std::string_view k) {
-  if (!first_) body_ += ", ";
-  first_ = false;
-  body_ += '"';
-  body_ += json_escape(k);
-  body_ += "\": ";
+  if (first_) {
+    *out_ += '"';
+    first_ = false;
+  } else {
+    out_->append(", \"", 3);
+  }
+  append_escaped(*out_, k);
+  out_->append("\": ", 3);
 }
 
 JsonLineWriter& JsonLineWriter::field(std::string_view k,
                                       std::string_view value) {
   key(k);
-  body_ += '"';
-  body_ += json_escape(value);
-  body_ += '"';
+  *out_ += '"';
+  append_escaped(*out_, value);
+  *out_ += '"';
   return *this;
 }
 
@@ -63,37 +121,46 @@ JsonLineWriter& JsonLineWriter::field(std::string_view k, const char* value) {
 
 JsonLineWriter& JsonLineWriter::field(std::string_view k, double value) {
   key(k);
-  // Shortest round-trip representation (std::to_chars default): the
-  // parsed double is bit-identical to `value`, which is what lets a
-  // replayed trace reproduce its recording exactly — %.10g would
-  // quantize arrival times and quietly fork the two simulations.
-  char buf[32];
-  auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  body_.append(buf, result.ptr);
+  append_json_number(*out_, value);
   return *this;
 }
 
 JsonLineWriter& JsonLineWriter::field(std::string_view k,
                                       std::uint64_t value) {
   key(k);
-  body_ += std::to_string(value);
+  append_uint(*out_, value);
   return *this;
 }
 
 JsonLineWriter& JsonLineWriter::field(std::string_view k, int value) {
   key(k);
-  body_ += std::to_string(value);
+  char buf[16];
+  auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  append_range(*out_, buf, result.ptr);
   return *this;
 }
 
 JsonLineWriter& JsonLineWriter::raw_field(std::string_view k,
                                           std::string_view json) {
   key(k);
-  body_ += json;
+  out_->append(json);
   return *this;
 }
 
-std::string JsonLineWriter::str() const { return body_ + "}"; }
+std::string JsonLineWriter::str() const { return own_ + "}"; }
+
+void append_fingerprint_header(
+    std::string& out, std::string_view schema, int version,
+    const std::map<std::string, std::string>& fingerprint) {
+  JsonLineWriter header(out);
+  header.field("schema", schema).field("version", version);
+  header.key("fingerprint");
+  JsonLineWriter stamp(out);
+  for (const auto& [key, value] : fingerprint) stamp.field(key, value);
+  stamp.close();
+  header.close();
+  out += '\n';
+}
 
 int require_schema(const JsonValue& header, std::string_view schema) {
   if (!header.is_object()) {

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 
@@ -47,9 +46,9 @@ std::string metric_path_component(std::string_view raw) {
 }
 
 std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  return buf;
+  std::string out;
+  append_g10(out, value);
+  return out;
 }
 
 Histogram::Histogram(std::vector<double> upper_bounds)

@@ -1,6 +1,7 @@
 #include "obs/span_log.hpp"
 
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -17,20 +18,13 @@ namespace {
 // An empty machine is spelled as the string "empty" so a span's
 // co-runner column is never confused with app class 0 (mirrors the
 // decision log's convention).
-std::string neighbour_json(const std::optional<std::size_t>& neighbour) {
-  if (!neighbour.has_value()) return "\"empty\"";
-  return std::to_string(*neighbour);
-}
-
-std::string header_line(int version,
-                        const std::map<std::string, std::string>& fingerprint) {
-  JsonLineWriter stamp;
-  for (const auto& [key, value] : fingerprint) stamp.field(key, value);
-  return JsonLineWriter()
-      .field("schema", kSpanLogSchema)
-      .field("version", version)
-      .raw_field("fingerprint", stamp.str())
-      .str();
+void append_neighbour(std::string& out,
+                      const std::optional<std::size_t>& neighbour) {
+  if (neighbour.has_value()) {
+    append_uint(out, *neighbour);
+  } else {
+    out += "\"empty\"";
+  }
 }
 
 const char* kind_name(SpanEvent::Kind kind) {
@@ -51,8 +45,8 @@ const char* kind_name(SpanEvent::Kind kind) {
 
 // Shared by SpanLog::write and write_span_log so the recorded stream
 // and a re-emitted merged stream are byte-compatible.
-std::string event_line(const SpanEvent& e) {
-  JsonLineWriter w;
+void append_event(std::string& out, const SpanEvent& e) {
+  JsonLineWriter w(out);
   w.field("kind", kind_name(e.kind));
   w.field("task", e.task);
   if (e.kind == SpanEvent::Kind::kCompleted) {
@@ -67,7 +61,8 @@ std::string event_line(const SpanEvent& e) {
   }
   if (e.kind == SpanEvent::Kind::kRunning ||
       e.kind == SpanEvent::Kind::kMigrationCopy) {
-    w.raw_field("neighbour", neighbour_json(e.neighbour));
+    w.key("neighbour");
+    append_neighbour(out, e.neighbour);
     w.field("factor", e.factor);
   }
   if (e.kind == SpanEvent::Kind::kMigrationCopy) {
@@ -76,7 +71,8 @@ std::string event_line(const SpanEvent& e) {
   if (e.kind == SpanEvent::Kind::kCompleted) {
     w.field("solo_runtime_s", e.solo_runtime_s);
   }
-  return w.str();
+  w.close();
+  out += '\n';
 }
 
 double number_field(const JsonValue& obj, const std::string& key,
@@ -165,14 +161,23 @@ void SpanLog::record(SpanEvent event) {
 
 void SpanLog::append(SpanEvent event) { events_.push_back(std::move(event)); }
 
+void SpanLog::append(std::vector<SpanEvent> events) {
+  if (events_.empty()) {
+    events_ = std::move(events);
+    return;
+  }
+  events_.insert(events_.end(), std::make_move_iterator(events.begin()),
+                 std::make_move_iterator(events.end()));
+}
+
 void SpanLog::set_fingerprint(const std::string& key,
                               const std::string& value) {
   fingerprint_[key] = value;
 }
 
 void SpanLog::write(std::ostream& os) const {
-  os << header_line(kJsonlSchemaVersion, fingerprint_) << "\n";
-  for (const SpanEvent& e : events_) os << event_line(e) << "\n";
+  write_fingerprinted(os, kSpanLogSchema, kJsonlSchemaVersion,
+                      fingerprint_, events_, append_event);
 }
 
 std::string SpanLog::str() const {
@@ -219,8 +224,8 @@ SpanDoc parse_span_log(const std::string& text) {
 }
 
 void write_span_log(std::ostream& os, const SpanDoc& doc) {
-  os << header_line(doc.version, doc.fingerprint) << "\n";
-  for (const SpanEvent& e : doc.events) os << event_line(e) << "\n";
+  write_fingerprinted(os, kSpanLogSchema, doc.version, doc.fingerprint,
+                      doc.events, append_event);
 }
 
 std::string span_log_str(const SpanDoc& doc) {

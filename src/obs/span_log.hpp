@@ -38,10 +38,10 @@
 // Determinism contract (DESIGN.md §6i): timestamps come from the
 // virtual clock only, doubles go through the shortest round-trip
 // writer, and the sharded runner merges per-shard logs by re-indexing
-// machine/task ids and stable-sorting on span start — `--threads N`
-// writes byte-identical logs to `--threads 1`. Recording is gated on
-// enabled(): when off, every record call returns immediately and no
-// simulation output changes by a byte.
+// machine/task ids and ordering spans by (start, shard, position) —
+// `--threads N` writes byte-identical logs to `--threads 1`. Recording
+// is gated on enabled(): when off, every record call returns
+// immediately and no simulation output changes by a byte.
 #pragma once
 
 #include <cstddef>
@@ -51,6 +51,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace tracon::obs {
@@ -111,9 +112,13 @@ class SpanLog {
   /// re-indexing ids. Ignores the enabled gate and keeps zero-length
   /// spans as given.
   void append(SpanEvent event);
+  /// Appends a whole merged stream at once, moving the spans in.
+  void append(std::vector<SpanEvent> events);
 
   std::size_t size() const { return events_.size(); }
   const std::vector<SpanEvent>& events() const { return events_; }
+  /// Moves every recorded span out, leaving the log empty.
+  std::vector<SpanEvent> take_events() { return std::exchange(events_, {}); }
 
   /// Reproducibility stamp emitted in the header line. Deliberately
   /// excludes the thread count so logs stay byte-comparable across

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "obs/snapshot.hpp"
+#include "sim/shard_merge.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -262,88 +264,58 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     summed_gauge(m, states, "sched.queue_length");
   }
 
-  if (cfg.trace != nullptr) {
-    // Canonical event order: concatenate in shard order (records are
-    // already time-ordered within a shard), re-index machines into the
-    // global space, then stable-sort by time — equal timestamps keep
-    // (shard, record) order, independent of the thread count.
-    std::vector<TaskEvent> all;
-    for (const ShardState& s : states)
-      for (TaskEvent ev : s.trace.events()) {
-        if (ev.machine != TaskEvent::kNoMachine) ev.machine += s.base;
-        all.push_back(ev);
-      }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const TaskEvent& a, const TaskEvent& b) {
-                       return a.time_s < b.time_s;
-                     });
-    for (const TaskEvent& ev : all) cfg.trace->record(ev);
+  // The record stores merge independently of each other, so each is
+  // one job on the worker pool. merge_shards fixes the canonical
+  // (time, shard, position) order; spans key on their start, which
+  // keeps each task's spans chronological. Task ids are per-shard
+  // arrival indices, shifted by the arrivals of the shards before so
+  // they stay unique; `arrived` is a function of the shard seed alone,
+  // so the shifts (and the merged bytes) are thread-independent.
+  std::vector<ShardBase> bases(shards);
+  std::uint64_t task_base = 0;
+  for (std::size_t i = 0; i < shards; ++i) {
+    bases[i] = {states[i].base, task_base};
+    task_base += states[i].outcome.arrived;
   }
-
-  if (tracer_on) {
-    std::vector<obs::TraceEvent> all;
-    for (const ShardState& s : states)
-      for (obs::TraceEvent ev : s.telemetry.tracer.events()) {
-        if (ev.machine != obs::TraceEvent::kNone) ev.machine += s.base;
-        all.push_back(ev);
-      }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-                       return a.time_s < b.time_s;
-                     });
-    for (const obs::TraceEvent& ev : all) cfg.telemetry->tracer.record(ev);
-  }
-
-  if (decisions_on) {
-    // Task ids are per-shard arrival indices. Shift each shard's ids
-    // by the arrivals of the shards before it so ids stay unique in
-    // the merged log; `arrived` is a function of the shard seed alone,
-    // so the offsets (and the merged bytes) are thread-independent.
-    // Machines re-index into the global space exactly like the traces.
-    std::vector<obs::DecisionEvent> all;
-    std::uint64_t task_base = 0;
-    for (const ShardState& s : states) {
-      for (obs::DecisionEvent ev : s.telemetry.decisions.events()) {
-        if (ev.machine != obs::DecisionEvent::kNoMachine) ev.machine += s.base;
-        if (ev.from_machine != obs::DecisionEvent::kNoMachine)
-          ev.from_machine += s.base;
-        ev.task += task_base;
-        all.push_back(std::move(ev));
-      }
-      task_base += s.outcome.arrived;
-    }
-    std::stable_sort(
-        all.begin(), all.end(),
-        [](const obs::DecisionEvent& a, const obs::DecisionEvent& b) {
-          return a.time_s < b.time_s;
-        });
-    for (obs::DecisionEvent& ev : all)
-      cfg.telemetry->decisions.append(std::move(ev));
-  }
-
-  if (spans_on) {
-    // Same recipe as the decision log: re-index machines, offset task
-    // ids by the per-shard arrival prefix sums, stable-sort on span
-    // start (a task's starts are non-decreasing, so per-task
-    // chronological order survives), append verbatim.
-    std::vector<obs::SpanEvent> all;
-    std::uint64_t task_base = 0;
-    for (const ShardState& s : states) {
-      for (obs::SpanEvent ev : s.telemetry.spans.events()) {
-        if (ev.machine != obs::SpanEvent::kNoMachine) ev.machine += s.base;
-        ev.task += task_base;
-        all.push_back(std::move(ev));
-      }
-      task_base += s.outcome.arrived;
-    }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const obs::SpanEvent& a, const obs::SpanEvent& b) {
-                       return a.t0_s < b.t0_s;
-                     });
-    for (obs::SpanEvent& ev : all) cfg.telemetry->spans.append(std::move(ev));
-  }
-
-  if (series_on) out.series = merge_series(states);
+  // One store's per-shard events, moved out of the shard states.
+  auto take = [&](auto take_one) {
+    std::vector<decltype(take_one(states[0]))> parts;
+    parts.reserve(shards);
+    for (ShardState& s : states) parts.push_back(take_one(s));
+    return parts;
+  };
+  std::vector<std::function<void()>> merges;
+  if (cfg.trace != nullptr)
+    merges.emplace_back([&] {
+      cfg.trace->append(merge_shards(
+          take([](ShardState& s) { return s.trace.take_events(); }), bases,
+          [](const TaskEvent& e) { return e.time_s; }));
+    });
+  if (tracer_on)
+    merges.emplace_back([&] {
+      cfg.telemetry->tracer.append(merge_shards(
+          take([](ShardState& s) {
+            return s.telemetry.tracer.take_events();
+          }),
+          bases, [](const obs::TraceEvent& e) { return e.time_s; }));
+    });
+  if (decisions_on)
+    merges.emplace_back([&] {
+      cfg.telemetry->decisions.append(merge_shards(
+          take([](ShardState& s) {
+            return s.telemetry.decisions.take_events();
+          }),
+          bases, [](const obs::DecisionEvent& e) { return e.time_s; }));
+    });
+  if (spans_on)
+    merges.emplace_back([&] {
+      cfg.telemetry->spans.append(merge_shards(
+          take([](ShardState& s) { return s.telemetry.spans.take_events(); }),
+          bases, [](const obs::SpanEvent& e) { return e.t0_s; }));
+    });
+  if (series_on)
+    merges.emplace_back([&] { out.series = merge_series(states); });
+  parallel_for(threads, merges.size(), [&](std::size_t i) { merges[i](); });
   return out;
 }
 

@@ -6,10 +6,10 @@
 // simulation or its exports is a function of (seed, machines, shards)
 // only — machine partitioning, per-shard arrival streams (counter-based
 // seeds via derive_stream_seed), scheduler construction, and the
-// serial shard-order merge. The thread count sizes the worker pool and
-// NOTHING else, so `--threads N` produces byte-identical metrics JSON,
-// snapshot series, and task/trace event files to `--threads 1` for the
-// same seed.
+// (time, shard, position) record merge. The thread count sizes the
+// worker pool and NOTHING else, so `--threads N` produces
+// byte-identical metrics JSON, snapshot series, and task/trace event
+// files to `--threads 1` for the same seed.
 //
 // Model note: a sharded run is the paper's hierarchical deployment
 // (Section 5's per-manager sub-clusters) rather than one global
@@ -68,8 +68,9 @@ struct ShardedConfig {
   /// Merged-output sinks (not owned; may be nullptr). Task events and
   /// typed trace events are buffered per shard with shard-local machine
   /// indices, then re-indexed into the global machine space and emitted
-  /// in canonical (time, shard, record) order. Metrics merge via
-  /// MetricsRegistry::merge with machine-weighted utilization gauges.
+  /// in canonical (time, shard, record) order (sim::merge_shards).
+  /// Metrics merge via MetricsRegistry::merge with machine-weighted
+  /// utilization gauges.
   TraceRecorder* trace = nullptr;
   obs::Telemetry* telemetry = nullptr;
 

@@ -9,13 +9,14 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace tracon::sim {
 
 enum class TaskEventKind { kArrived, kDropped, kPlaced, kCompleted };
 
-std::string task_event_kind_name(TaskEventKind kind);
+std::string_view task_event_kind_name(TaskEventKind kind);
 
 /// Inverse of task_event_kind_name; nullopt for unknown names, so
 /// task-event files round-trip through their textual form.
@@ -39,11 +40,18 @@ class TraceRecorder {
     events_.push_back({time_s, kind, app, machine});
   }
 
+  /// Appends a whole merged stream at once, moving the events in.
+  void append(std::vector<TaskEvent> events);
+
   const std::vector<TaskEvent>& events() const { return events_; }
+  /// Moves every recorded event out, leaving the recorder empty.
+  std::vector<TaskEvent> take_events() { return std::exchange(events_, {}); }
   std::size_t count(TaskEventKind kind) const;
   void clear() { events_.clear(); }
 
   /// CSV with header: time_s,event,app,machine (machine empty if none).
+  /// time_s uses the JSONL export's shortest round-trip formatter, so
+  /// both exports carry the same event times.
   void write_csv(std::ostream& os) const;
 
   /// JSONL: a schema-version header line ({"schema":

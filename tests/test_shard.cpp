@@ -6,13 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
+#include <vector>
 
 #include "sched/fifo.hpp"
 #include "sched/mibs.hpp"
 #include "sched/mios.hpp"
 #include "sched/mix.hpp"
+#include "sim/shard_merge.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "workload/benchmarks.hpp"
@@ -244,6 +247,163 @@ TEST(ShardedScenario, RejectsBadConfig) {
                std::invalid_argument);
   EXPECT_THROW(run_dynamic_sharded(table(), nullptr, small_cfg(7, 1)),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// The record-store merge against the recipe it replaced: concatenate
+// the shards in shard order, re-index ids by hand, then stable_sort on
+// the key. Timestamps tie across shards (including -0 against 0), and
+// spans run out of start order inside a shard.
+
+template <typename Event, typename Reindex, typename KeyFn>
+std::vector<Event> concat_then_stable_sort(
+    const std::vector<std::vector<Event>>& parts, Reindex reindex,
+    KeyFn key) {
+  std::vector<Event> all;
+  for (std::size_t s = 0; s < parts.size(); ++s)
+    for (Event ev : parts[s]) {
+      reindex(ev, s);
+      all.push_back(std::move(ev));
+    }
+  std::stable_sort(all.begin(), all.end(), [&](const Event& a, const Event& b) {
+    return key(a) < key(b);
+  });
+  return all;
+}
+
+// Shard s has 10 + s machines and 100 * (s + 1) arrivals before it.
+const std::vector<ShardBase> kBases = {{0, 0}, {10, 100}, {21, 300}};
+constexpr std::size_t kMachineBase[] = {0, 10, 21};
+constexpr std::uint64_t kTaskBase[] = {0, 100, 300};
+
+// Keys with deliberate ties inside and across shards.
+const double kTimes[3][6] = {{0.0, 1.5, 1.5, 2.0, 7.25, 9.0},
+                             {-0.0, 1.5, 2.0, 2.0, 7.25, 8.0},
+                             {1.5, 1.5, 1.5, 3.0, 7.25, 9.0}};
+
+TEST(ShardMerge, TaskAndTraceEventsMatchStableSortOracle) {
+  std::vector<std::vector<TaskEvent>> tasks(3);
+  std::vector<std::vector<obs::TraceEvent>> traces(3);
+  std::size_t id = 0;
+  for (std::size_t s = 0; s < 3; ++s)
+    for (std::size_t i = 0; i < 6; ++i, ++id) {
+      const bool bound = i % 3 != 0;
+      tasks[s].push_back({kTimes[s][i], TaskEventKind::kPlaced, id,
+                          bound ? i : TaskEvent::kNoMachine});
+      obs::TraceEvent ev;
+      ev.time_s = kTimes[s][i];
+      ev.kind = obs::TraceEventKind::kTaskPlaced;
+      ev.machine = bound ? i : obs::TraceEvent::kNone;
+      ev.count = id;  // unique payload, so any misorder shows in the bytes
+      traces[s].push_back(ev);
+    }
+
+  TraceRecorder want_tasks, got_tasks;
+  want_tasks.append(concat_then_stable_sort(
+      tasks,
+      [](TaskEvent& e, std::size_t s) {
+        if (e.machine != TaskEvent::kNoMachine) e.machine += kMachineBase[s];
+      },
+      [](const TaskEvent& e) { return e.time_s; }));
+  got_tasks.append(merge_shards(tasks, kBases,
+                                [](const TaskEvent& e) { return e.time_s; }));
+  std::ostringstream want_t, got_t;
+  want_tasks.write_jsonl(want_t);
+  got_tasks.write_jsonl(got_t);
+  EXPECT_EQ(got_t.str(), want_t.str());
+
+  obs::EventTracer want_trace, got_trace;
+  want_trace.append(concat_then_stable_sort(
+      traces,
+      [](obs::TraceEvent& e, std::size_t s) {
+        if (e.machine != obs::TraceEvent::kNone) e.machine += kMachineBase[s];
+      },
+      [](const obs::TraceEvent& e) { return e.time_s; }));
+  got_trace.append(merge_shards(
+      traces, kBases, [](const obs::TraceEvent& e) { return e.time_s; }));
+  std::ostringstream want_j, got_j;
+  want_trace.write_jsonl(want_j);
+  got_trace.write_jsonl(got_j);
+  EXPECT_EQ(got_j.str(), want_j.str());
+  // The -0 record of shard 1 ties with shard 0's 0 and stays after it.
+  EXPECT_EQ(got_trace.events()[0].count, 0u);
+  EXPECT_EQ(got_trace.events()[1].count, 6u);
+}
+
+TEST(ShardMerge, DecisionsAndSpansMatchStableSortOracle) {
+  std::vector<std::vector<obs::DecisionEvent>> decisions(3);
+  std::vector<std::vector<obs::SpanEvent>> spans(3);
+  for (std::size_t s = 0; s < 3; ++s)
+    for (std::size_t i = 0; i < 6; ++i) {
+      obs::DecisionEvent d;
+      d.kind = i % 3 == 0   ? obs::DecisionEvent::Kind::kDecision
+               : i % 3 == 1 ? obs::DecisionEvent::Kind::kMigration
+                            : obs::DecisionEvent::Kind::kOutcome;
+      d.task = i;
+      d.time_s = kTimes[s][i];
+      d.app = s;
+      d.scheduler = "MIBS_8";
+      d.objective = "runtime";
+      d.candidates.resize(1);
+      if (d.kind == obs::DecisionEvent::Kind::kMigration) {
+        d.from_machine = i;
+        d.machine = i + 1;
+      } else if (i != 3) {  // task 3's decision stays unbound
+        d.machine = i;
+      }
+      decisions[s].push_back(d);
+
+      // Spans out of start order inside the shard: the last span of a
+      // shard starts first.
+      obs::SpanEvent sp;
+      sp.kind = i % 2 == 0 ? obs::SpanEvent::Kind::kQueued
+                           : obs::SpanEvent::Kind::kRunning;
+      sp.task = i;
+      sp.t0_s = kTimes[s][(i + 5) % 6];
+      sp.t1_s = sp.t0_s + 1.0;
+      sp.app = s;
+      if (sp.kind != obs::SpanEvent::Kind::kQueued) sp.machine = i;
+      spans[s].push_back(sp);
+    }
+
+  obs::DecisionLog want_d, got_d;
+  want_d.append(concat_then_stable_sort(
+      decisions,
+      [](obs::DecisionEvent& e, std::size_t s) {
+        if (e.machine != obs::DecisionEvent::kNoMachine)
+          e.machine += kMachineBase[s];
+        if (e.from_machine != obs::DecisionEvent::kNoMachine)
+          e.from_machine += kMachineBase[s];
+        e.task += kTaskBase[s];
+      },
+      [](const obs::DecisionEvent& e) { return e.time_s; }));
+  got_d.append(merge_shards(
+      decisions, kBases, [](const obs::DecisionEvent& e) { return e.time_s; }));
+  EXPECT_EQ(got_d.str(), want_d.str());
+
+  obs::SpanLog want_s, got_s;
+  want_s.append(concat_then_stable_sort(
+      spans,
+      [](obs::SpanEvent& e, std::size_t s) {
+        if (e.machine != obs::SpanEvent::kNoMachine)
+          e.machine += kMachineBase[s];
+        e.task += kTaskBase[s];
+      },
+      [](const obs::SpanEvent& e) { return e.t0_s; }));
+  got_s.append(merge_shards(spans, kBases,
+                            [](const obs::SpanEvent& e) { return e.t0_s; }));
+  EXPECT_EQ(got_s.str(), want_s.str());
+  // Ids really moved: shard 2's records carry its bases.
+  bool saw_shard2 = false;
+  for (const obs::SpanEvent& e : got_s.events()) {
+    if (e.app != 2) continue;
+    saw_shard2 = true;
+    EXPECT_GE(e.task, 300u);
+    if (e.machine != obs::SpanEvent::kNoMachine) {
+      EXPECT_GE(e.machine, 21u);
+    }
+  }
+  EXPECT_TRUE(saw_shard2);
 }
 
 }  // namespace

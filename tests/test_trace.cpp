@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "sched/fifo.hpp"
 #include "sim/dynamic_scenario.hpp"
@@ -35,6 +36,28 @@ TEST(TraceRecorder, CsvFormat) {
             "time_s,event,app,machine\n"
             "1.5,placed,3,7\n"
             "2,dropped,5,\n");
+}
+
+// Event times keep every digit the simulator produced: the CSV uses
+// the same shortest round-trip formatter as the JSONL export, so a
+// 1 h run's distinct times stay distinct.
+TEST(TraceRecorder, CsvTimesRoundTrip) {
+  TraceRecorder t;
+  t.record(3597.4512345, TaskEventKind::kCompleted, 2, 11);
+  t.record(0.1 + 0.2, TaskEventKind::kArrived, 4);
+  std::ostringstream os;
+  t.write_csv(os);
+  EXPECT_EQ(os.str(),
+            "time_s,event,app,machine\n"
+            "3597.4512345,completed,2,11\n"
+            "0.30000000000000004,arrived,4,\n");
+  std::istringstream in(os.str());
+  std::string line;
+  std::getline(in, line);  // header
+  for (const TaskEvent& e : t.events()) {
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(std::stod(line.substr(0, line.find(','))), e.time_s);
+  }
 }
 
 TEST(TraceRecorder, KindNames) {

@@ -136,6 +136,7 @@
 //          [continued] --scheduler mibs --queue 8 --mix heavy
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <set>
@@ -170,6 +171,7 @@
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "virt/host_sim.hpp"
 #include "workload/benchmarks.hpp"
@@ -301,6 +303,73 @@ void print_completed(std::size_t completed, std::size_t fifo_completed) {
               static_cast<double>(completed) /
                   static_cast<double>(
                       std::max<std::size_t>(1, fifo_completed)));
+}
+
+/// One export file of a `tracon dynamic` run: written when `flag` was
+/// given, to the path that flag names.
+struct ExportFile {
+  const char* flag;
+  const char* what;
+  std::function<void(std::ostream&)> write;
+};
+
+/// The telemetry exports both dynamic routes share, in report order;
+/// `series` writes the route's snapshot series.
+std::vector<ExportFile> telemetry_exports(
+    const obs::Telemetry& tel, std::function<void(std::ostream&)> series) {
+  return {
+      {"metrics-out", "metrics JSON",
+       [&tel](std::ostream& f) { tel.metrics.write_json(f); }},
+      {"metrics-csv", "metrics CSV",
+       [&tel](std::ostream& f) { tel.metrics.write_csv(f); }},
+      {"trace-out", "Chrome trace",
+       [&tel](std::ostream& f) { tel.tracer.write_chrome_json(f); }},
+      {"trace-jsonl", "JSONL trace",
+       [&tel](std::ostream& f) { tel.tracer.write_jsonl(f); }},
+      {"series-out", "metrics series", std::move(series)},
+      {"decisions-out", "decision log",
+       [&tel](std::ostream& f) { tel.decisions.write(f); }},
+      {"spans-out", "span log",
+       [&tel](std::ostream& f) { tel.spans.write(f); }},
+  };
+}
+
+/// Writes every export whose flag was given. The files are independent,
+/// so they are written concurrently on up to `threads` workers; the
+/// report follows in list order once all are closed: "<what> written
+/// to <path>", or a "cannot open" error on stderr. Returns false when
+/// any file could not be opened.
+bool write_exports(const ArgParser& args, const std::vector<ExportFile>& all,
+                   std::size_t threads) {
+  std::vector<const ExportFile*> files;
+  std::vector<std::string> paths;
+  for (const ExportFile& file : all) {
+    if (!args.has(file.flag)) continue;
+    files.push_back(&file);
+    paths.push_back(args.get(file.flag));
+  }
+  // Two flags naming one file would interleave writes; serially the
+  // later export wins, as it always has.
+  if (std::set<std::string>(paths.begin(), paths.end()).size() !=
+      paths.size())
+    threads = 1;
+  std::vector<char> opened(files.size(), 0);
+  parallel_for(threads, files.size(), [&](std::size_t i) {
+    std::ofstream f(paths[i]);
+    opened[i] = f ? 1 : 0;
+    if (opened[i] != 0) files[i]->write(f);
+  });
+  bool ok = true;
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    if (opened[i] == 0) {
+      std::fprintf(stderr, "cannot open %s file '%s'\n", files[i]->what,
+                   paths[i].c_str());
+      ok = false;
+      continue;
+    }
+    std::printf("%s written to %s\n", files[i]->what, paths[i].c_str());
+  }
+  return ok;
 }
 
 /// App-class id -> benchmark name, for human-readable decision output.
@@ -654,49 +723,13 @@ int cmd_dynamic_sharded(const ArgParser& args) {
     if (want_spans) stamp_span_fingerprint(tel);
   }
 
-  auto write_file = [&](const char* flag, const char* what,
-                        auto&& writer) -> bool {
-    std::string path = args.get(flag);
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s file '%s'\n", what, path.c_str());
-      return false;
-    }
-    writer(f);
-    std::printf("%s written to %s\n", what, path.c_str());
-    return true;
-  };
-  bool io_ok = true;
-  if (args.has("metrics-out"))
-    io_ok &= write_file("metrics-out", "metrics JSON",
-                        [&](std::ostream& f) { tel.metrics.write_json(f); });
-  if (args.has("metrics-csv"))
-    io_ok &= write_file("metrics-csv", "metrics CSV",
-                        [&](std::ostream& f) { tel.metrics.write_csv(f); });
-  if (args.has("trace-out"))
-    io_ok &= write_file("trace-out", "Chrome trace", [&](std::ostream& f) {
-      tel.tracer.write_chrome_json(f);
-    });
-  if (args.has("trace-jsonl"))
-    io_ok &= write_file("trace-jsonl", "JSONL trace", [&](std::ostream& f) {
-      tel.tracer.write_jsonl(f);
-    });
-  if (args.has("series-out"))
-    io_ok &= write_file("series-out", "metrics series",
-                        [&](std::ostream& f) { f << o.series; });
-  if (args.has("decisions-out"))
-    io_ok &= write_file("decisions-out", "decision log",
-                        [&](std::ostream& f) { tel.decisions.write(f); });
-  if (args.has("spans-out"))
-    io_ok &= write_file("spans-out", "span log",
-                        [&](std::ostream& f) { tel.spans.write(f); });
-  if (args.has("trace"))
-    io_ok &= write_file("trace", "task-event CSV",
-                        [&](std::ostream& f) { trace.write_csv(f); });
-  if (args.has("events-jsonl"))
-    io_ok &= write_file("events-jsonl", "task-event JSONL",
-                        [&](std::ostream& f) { trace.write_jsonl(f); });
-  if (!io_ok) return 1;
+  std::vector<ExportFile> files = telemetry_exports(
+      tel, [&](std::ostream& f) { f << o.series; });
+  files.push_back({"trace", "task-event CSV",
+                   [&](std::ostream& f) { trace.write_csv(f); }});
+  files.push_back({"events-jsonl", "task-event JSONL",
+                   [&](std::ostream& f) { trace.write_jsonl(f); }});
+  if (!write_exports(args, files, o.threads_used)) return 1;
 
   std::printf("%s: %zu machines, %zu shards, %zu threads, lambda=%.0f/min, "
               "%.1f h, %s mix\n",
@@ -793,44 +826,13 @@ int cmd_dynamic(const ArgParser& args) {
 
   auto o = sim::run_dynamic(sys.perf_table(), *sched, cfg);
 
-  auto write_file = [&](const char* flag, const char* what,
-                        auto&& writer) -> bool {
-    std::string path = args.get(flag);
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s file '%s'\n", what, path.c_str());
-      return false;
-    }
-    writer(f);
-    std::printf("%s written to %s\n", what, path.c_str());
-    return true;
-  };
-  bool io_ok = true;
-  if (args.has("metrics-out"))
-    io_ok &= write_file("metrics-out", "metrics JSON",
-                        [&](std::ostream& f) { tel.metrics.write_json(f); });
-  if (args.has("metrics-csv"))
-    io_ok &= write_file("metrics-csv", "metrics CSV",
-                        [&](std::ostream& f) { tel.metrics.write_csv(f); });
-  if (args.has("trace-out"))
-    io_ok &= write_file("trace-out", "Chrome trace", [&](std::ostream& f) {
-      tel.tracer.write_chrome_json(f);
-    });
-  if (args.has("trace-jsonl"))
-    io_ok &= write_file("trace-jsonl", "JSONL trace", [&](std::ostream& f) {
-      tel.tracer.write_jsonl(f);
-    });
-  if (args.has("series-out"))
-    io_ok &= write_file("series-out", "metrics series", [&](std::ostream& f) {
-      inst.series->write(f);
-    });
-  if (args.has("decisions-out"))
-    io_ok &= write_file("decisions-out", "decision log",
-                        [&](std::ostream& f) { tel.decisions.write(f); });
-  if (args.has("spans-out"))
-    io_ok &= write_file("spans-out", "span log",
-                        [&](std::ostream& f) { tel.spans.write(f); });
-  if (!io_ok) return 1;
+  if (!write_exports(args,
+                     telemetry_exports(tel,
+                                       [&](std::ostream& f) {
+                                         inst.series->write(f);
+                                       }),
+                     1))
+    return 1;
 
   if (args.has("trace")) {
     std::ofstream f(args.get("trace"));
