@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -18,6 +19,16 @@ namespace tracon::sim {
 
 std::size_t auto_shard_count(std::size_t machines) {
   return std::clamp<std::size_t>(machines / 128, 1, 64);
+}
+
+std::size_t effective_shards(const ShardedConfig& cfg) {
+  return std::min(cfg.shards > 0 ? cfg.shards : auto_shard_count(cfg.machines),
+                  cfg.machines);
+}
+
+std::uint64_t shard_seed(std::uint64_t seed, std::size_t shard,
+                         std::size_t shards) {
+  return shards == 1 ? seed : derive_stream_seed(seed, shard);
 }
 
 namespace {
@@ -124,16 +135,22 @@ std::string merge_series(const std::vector<ShardState>& states) {
   return obs::metrics_series_str(merged);
 }
 
-}  // namespace
-
-ShardedOutcome run_dynamic_sharded(const PerfTable& table,
-                                   const SchedulerFactory& make_scheduler,
-                                   const ShardedConfig& cfg) {
+/// Both public overloads; `arrivals` (one-shard runs only) replaces
+/// the shard's Poisson stream when set.
+ShardedOutcome run_sharded(const PerfTable& table,
+                           const SchedulerFactory& make_scheduler,
+                           const ShardedConfig& cfg,
+                           std::optional<std::span<const Arrival>> arrivals) {
   TRACON_REQUIRE(cfg.machines > 0, "need at least one machine");
   TRACON_REQUIRE(make_scheduler != nullptr, "scheduler factory must be set");
-  const std::size_t shards = std::min(
-      cfg.shards > 0 ? cfg.shards : auto_shard_count(cfg.machines),
-      cfg.machines);
+  const std::size_t shards = effective_shards(cfg);
+  // One shard is the flat system: its own seed and rate, the caller's
+  // sinks, and nothing to merge.
+  const bool direct = shards == 1;
+  TRACON_REQUIRE(direct || cfg.confidence == nullptr,
+                 "the confidence ensemble is stateful and needs one shard");
+  TRACON_REQUIRE(direct || !arrivals.has_value(),
+                 "an explicit arrival list needs one shard");
   const std::size_t threads =
       cfg.threads > 0 ? cfg.threads : hardware_threads();
   const bool series_on = cfg.snapshot_interval_s > 0.0;
@@ -159,12 +176,14 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     base += d.machines;
     // Each shard sees its machine share of the aggregate arrival rate,
     // drawn from its own counter-derived Poisson stream.
-    d.lambda_per_min = cfg.lambda_per_min * static_cast<double>(d.machines) /
-                       static_cast<double>(cfg.machines);
+    d.lambda_per_min = direct ? cfg.lambda_per_min
+                              : cfg.lambda_per_min *
+                                    static_cast<double>(d.machines) /
+                                    static_cast<double>(cfg.machines);
     d.duration_s = cfg.duration_s;
     d.mix = cfg.mix;
     d.mix_stddev = cfg.mix_stddev;
-    d.seed = derive_stream_seed(cfg.seed, i);
+    d.seed = shard_seed(cfg.seed, i, shards);
     d.queue_capacity = cfg.queue_capacity;
     d.schedule_period_s = cfg.schedule_period_s;
     d.candidate_index = cfg.candidate_index;
@@ -176,17 +195,27 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
   // Wire the per-shard sinks only now that `states` has its final
   // addresses (DynamicConfig stores raw pointers into its ShardState).
   for (ShardState& s : states) {
-    if (cfg.trace != nullptr) s.cfg.trace = &s.trace;
+    obs::Telemetry& tel = direct && cfg.telemetry != nullptr
+                              ? *cfg.telemetry
+                              : s.telemetry;
+    if (cfg.trace != nullptr) s.cfg.trace = direct ? cfg.trace : &s.trace;
     if (telemetry_on) {
-      s.cfg.telemetry = &s.telemetry;
-      s.scheduler->set_telemetry(&s.telemetry);
+      s.cfg.telemetry = &tel;
+      s.scheduler->set_telemetry(&tel);
     }
-    if (tracer_on) s.telemetry.tracer.set_enabled(true);
-    if (decisions_on) s.telemetry.decisions.set_enabled(true);
-    if (spans_on) s.telemetry.spans.set_enabled(true);
+    if (tracer_on) tel.tracer.set_enabled(true);
+    if (decisions_on) tel.decisions.set_enabled(true);
+    if (spans_on) tel.spans.set_enabled(true);
     if (cfg.accuracy_probe != nullptr) {
       s.cfg.accuracy_probe = cfg.accuracy_probe;
       s.cfg.accuracy_family = cfg.accuracy_family;
+    }
+    if (cfg.confidence != nullptr) {
+      // The ensemble learns from the run and scores the blend itself.
+      s.cfg.outcome_observer = cfg.confidence;
+      s.cfg.accuracy_probe = cfg.confidence;
+      s.cfg.accuracy_family = "confidence";
+      if (telemetry_on) cfg.confidence->set_metrics(&tel.metrics);
     }
     if (cfg.rebalance) {
       TRACON_REQUIRE(cfg.rebalance_predictor != nullptr,
@@ -195,22 +224,33 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
       s.cfg.rebalancer = &*s.rebalancer;
     }
     if (series_on) {
-      s.series.emplace(s.telemetry.metrics, cfg.snapshot_interval_s);
+      s.series.emplace(tel.metrics, cfg.snapshot_interval_s);
       s.cfg.snapshots = &*s.series;
-      if (cfg.accuracy_probe != nullptr) {
+      // One model family's rolling windows, sampled into the series.
+      auto track = [&s](const std::string& fam,
+                        const obs::WindowedAccuracy* runtime,
+                        const obs::WindowedAccuracy* iops) {
+        // TRACON_ANALYZE_ALLOW(metric-name): "model." is a prefix; the
+        // composed path is validated by track_accuracy itself.
+        s.series->track_accuracy("model." + fam + ".runtime", runtime);
+        // TRACON_ANALYZE_ALLOW(metric-name): prefix of a composed path,
+        // validated by track_accuracy like the one above.
+        s.series->track_accuracy("model." + fam + ".iops", iops);
+      };
+      if (cfg.confidence != nullptr) {
+        for (std::size_t f = 0; f < cfg.confidence->num_families(); ++f)
+          track(cfg.confidence->family_name(f),
+                &cfg.confidence->runtime_window(f),
+                &cfg.confidence->iops_window(f));
+      } else if (cfg.accuracy_probe != nullptr) {
         s.win_runtime.emplace(cfg.accuracy_window);
         s.win_iops.emplace(cfg.accuracy_window);
         s.cfg.windowed_runtime = &*s.win_runtime;
         s.cfg.windowed_iops = &*s.win_iops;
-        const std::string fam = obs::metric_path_component(
-            cfg.accuracy_family.empty() ? "probe" : cfg.accuracy_family);
-        // TRACON_ANALYZE_ALLOW(metric-name): "model." is a prefix; the
-        // composed path is validated by track_accuracy itself.
-        s.series->track_accuracy("model." + fam + ".runtime",
-                                 &*s.win_runtime);
-        // TRACON_ANALYZE_ALLOW(metric-name): prefix of a composed path,
-        // validated by track_accuracy like the one above.
-        s.series->track_accuracy("model." + fam + ".iops", &*s.win_iops);
+        track(obs::metric_path_component(cfg.accuracy_family.empty()
+                                             ? "probe"
+                                             : cfg.accuracy_family),
+              &*s.win_runtime, &*s.win_iops);
       }
     }
   }
@@ -220,14 +260,24 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
   // and parallel_for joins all workers before returning, so the merge
   // below reads fully published results.
   parallel_for(threads, shards, [&](std::size_t i) {
-    states[i].outcome = run_dynamic(table, *states[i].scheduler,
-                                    states[i].cfg);
+    ShardState& s = states[i];
+    s.outcome = arrivals.has_value()
+                    ? run_dynamic(table, *s.scheduler, s.cfg, *arrivals)
+                    : run_dynamic(table, *s.scheduler, s.cfg);
   });
 
-  // --- Merge, serially and in shard order.
   ShardedOutcome out;
   out.shards = shards;
   out.threads_used = threads;
+  if (direct) {
+    // The shard already wrote into the caller's sinks.
+    out.total = states[0].outcome;
+    out.per_shard = {states[0].outcome};
+    if (series_on) out.series = states[0].series->str();
+    return out;
+  }
+
+  // --- Merge, serially and in shard order.
   out.total.duration_s = cfg.duration_s;
   double wait_weighted = 0.0;
   std::size_t wait_count = 0;
@@ -317,6 +367,21 @@ ShardedOutcome run_dynamic_sharded(const PerfTable& table,
     merges.emplace_back([&] { out.series = merge_series(states); });
   parallel_for(threads, merges.size(), [&](std::size_t i) { merges[i](); });
   return out;
+}
+
+}  // namespace
+
+ShardedOutcome run_dynamic_sharded(const PerfTable& table,
+                                   const SchedulerFactory& make_scheduler,
+                                   const ShardedConfig& cfg) {
+  return run_sharded(table, make_scheduler, cfg, std::nullopt);
+}
+
+ShardedOutcome run_dynamic_sharded(const PerfTable& table,
+                                   const SchedulerFactory& make_scheduler,
+                                   const ShardedConfig& cfg,
+                                   std::span<const Arrival> arrivals) {
+  return run_sharded(table, make_scheduler, cfg, arrivals);
 }
 
 }  // namespace tracon::sim

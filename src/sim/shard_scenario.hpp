@@ -5,7 +5,7 @@
 // Determinism contract (DESIGN.md §7): every quantity that affects the
 // simulation or its exports is a function of (seed, machines, shards)
 // only — machine partitioning, per-shard arrival streams (counter-based
-// seeds via derive_stream_seed), scheduler construction, and the
+// seeds via shard_seed), scheduler construction, and the
 // (time, shard, position) record merge. The thread count sizes the
 // worker pool and NOTHING else, so `--threads N` produces
 // byte-identical metrics JSON, snapshot series, and task/trace event
@@ -17,13 +17,15 @@
 // its own scheduler instance, and arrivals split across shards in
 // proportion to their machine share. Shard count therefore changes the
 // simulated system; it deliberately does NOT default from the thread
-// count.
+// count. One shard is the flat system: run_dynamic with the caller's
+// seed, rate and sinks, byte for byte.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,7 +72,7 @@ struct ShardedConfig {
   /// indices, then re-indexed into the global machine space and emitted
   /// in canonical (time, shard, record) order (sim::merge_shards).
   /// Metrics merge via MetricsRegistry::merge with machine-weighted
-  /// utilization gauges.
+  /// utilization gauges. A one-shard run writes into them directly.
   TraceRecorder* trace = nullptr;
   obs::Telemetry* telemetry = nullptr;
 
@@ -100,7 +102,7 @@ struct ShardedConfig {
   /// Candidate shortlist index shared by every shard (not owned; may be
   /// nullptr). Read-only during the run, so it must be built over a
   /// predictor whose model epoch never changes mid-run (TablePredictor
-  /// qualifies; the sharded CLI already rejects the online ensemble).
+  /// qualifies; the CLI rejects the index with the online ensemble).
   /// Each shard attaches the index's clustering to its own
   /// ClusterCounts; placements stay bit-identical to the flat scan.
   const sched::CandidateIndex* candidate_index = nullptr;
@@ -109,6 +111,15 @@ struct ShardedConfig {
   /// every shard samples the same virtual-clock window grid, and
   /// windows merge index by index at those global barriers.
   double snapshot_interval_s = 0.0;
+
+  /// Confidence-weighted ensemble (not owned; may be nullptr). It
+  /// learns online from every completion, so it cannot be shared
+  /// across shards: only a one-shard run may set it. The run then
+  /// feeds it completions, scores it as the accuracy probe (family
+  /// "confidence", replacing `accuracy_probe`), binds it to the
+  /// metrics, and samples each family's own rolling windows into the
+  /// series. The factory's scheduler is expected to predict through it.
+  sched::ConfidenceWeightedPredictor* confidence = nullptr;
 };
 
 struct ShardedOutcome {
@@ -129,10 +140,34 @@ struct ShardedOutcome {
 /// agree on the decomposition regardless of the host.
 std::size_t auto_shard_count(std::size_t machines);
 
+/// The shard count a run with `cfg` uses: cfg.shards, or the auto
+/// count when 0, never more than the machines.
+std::size_t effective_shards(const ShardedConfig& cfg);
+
+/// Seed of shard `shard`'s streams out of `shards`: `seed` itself when
+/// there is only one shard (so a one-shard run is the flat run), else
+/// the counter-derived derive_stream_seed(seed, shard).
+std::uint64_t shard_seed(std::uint64_t seed, std::size_t shard,
+                         std::size_t shards);
+
 /// Runs the sharded scenario. See the file comment for the determinism
 /// contract; throws (first worker error) if any shard fails.
+///
+/// One shard is the flat system: the shard keeps cfg.seed and
+/// cfg.lambda_per_min, writes straight into the caller's sinks, and
+/// its outcome and exports are byte-identical to run_dynamic over the
+/// same configuration.
 ShardedOutcome run_dynamic_sharded(const PerfTable& table,
                                    const SchedulerFactory& make_scheduler,
                                    const ShardedConfig& cfg);
+
+/// Same run over an explicit arrival list (sorted by time), as
+/// run_dynamic's overload; lambda_per_min / mix / seed are ignored for
+/// arrivals. The list is one manager's queue, so cfg must resolve to
+/// one shard.
+ShardedOutcome run_dynamic_sharded(const PerfTable& table,
+                                   const SchedulerFactory& make_scheduler,
+                                   const ShardedConfig& cfg,
+                                   std::span<const Arrival> arrivals);
 
 }  // namespace tracon::sim

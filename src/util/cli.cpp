@@ -79,6 +79,17 @@ long ArgParser::get_int(const std::string& name, long fallback) const {
   }
 }
 
+std::size_t ArgParser::get_count(const std::string& name,
+                                 std::size_t fallback) const {
+  if (!has(name)) return fallback;
+  const long v = get_int(name, 0);
+  if (v < 0)
+    throw std::invalid_argument("flag --" + name +
+                                " expects a count >= 0, got '" + get(name) +
+                                "'");
+  return static_cast<std::size_t>(v);
+}
+
 std::vector<std::string> ArgParser::unknown_flags(
     const std::vector<std::string>& known) const {
   std::vector<std::string> out;

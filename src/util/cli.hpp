@@ -5,6 +5,7 @@
 // `unknown_flags` (the parser cannot know which boolean flags exist).
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,6 +28,9 @@ class ArgParser {
 
   double get_double(const std::string& name, double fallback) const;
   long get_int(const std::string& name, long fallback) const;
+  /// The value of --name as a count, or `fallback` when absent. Throws
+  /// std::invalid_argument naming the flag when the value is negative.
+  std::size_t get_count(const std::string& name, std::size_t fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

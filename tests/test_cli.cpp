@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace tracon {
 namespace {
 
@@ -52,6 +55,25 @@ TEST(ArgParser, UnknownFlags) {
   ASSERT_EQ(unknown.size(), 1u);
   EXPECT_EQ(unknown[0], "oops");
   EXPECT_TRUE(args.unknown_flags({"good", "oops"}).empty());
+}
+
+TEST(ArgParser, CountsRejectNegativeValues) {
+  ArgParser args({"--queue", "-1", "--threads", "-2", "--machines", "16",
+                  "--shards", "0", "--top", "x"});
+  EXPECT_EQ(args.get_count("machines", 64), 16u);
+  EXPECT_EQ(args.get_count("shards", 4), 0u);  // 0 keeps its "auto" meaning
+  EXPECT_EQ(args.get_count("missing", 7), 7u);
+  EXPECT_THROW(args.get_count("top", 10), std::invalid_argument);
+  for (const char* flag : {"queue", "threads"}) {
+    try {
+      args.get_count(flag, 1);
+      ADD_FAILURE() << "--" << flag << " accepted a negative count";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ArgParser, BareDashesRejected) {

@@ -11,6 +11,8 @@
 #include <sstream>
 #include <vector>
 
+#include "migrate/rebalancer.hpp"
+#include "obs/snapshot.hpp"
 #include "sched/fifo.hpp"
 #include "sched/mibs.hpp"
 #include "sched/mios.hpp"
@@ -246,6 +248,136 @@ TEST(ShardedScenario, RejectsBadConfig) {
   EXPECT_THROW(run_dynamic_sharded(table(), factory_for("fifo", 7), cfg),
                std::invalid_argument);
   EXPECT_THROW(run_dynamic_sharded(table(), nullptr, small_cfg(7, 1)),
+               std::invalid_argument);
+}
+
+/// Every byte a run exports, plus its outcome.
+struct Exports {
+  DynamicOutcome outcome;
+  std::string metrics, metrics_csv, tracer_jsonl, chrome, decisions, spans,
+      events_jsonl, events_csv, series;
+};
+
+Exports exports_of(const DynamicOutcome& outcome, const obs::Telemetry& tel,
+                   const TraceRecorder& trace, std::string series) {
+  Exports e;
+  e.outcome = outcome;
+  std::ostringstream m, mc, tj, ch, d, sp, ej, ec;
+  tel.metrics.write_json(m);
+  tel.metrics.write_csv(mc);
+  tel.tracer.write_jsonl(tj);
+  tel.tracer.write_chrome_json(ch);
+  tel.decisions.write(d);
+  tel.spans.write(sp);
+  trace.write_jsonl(ej);
+  trace.write_csv(ec);
+  e.metrics = m.str();
+  e.metrics_csv = mc.str();
+  e.tracer_jsonl = tj.str();
+  e.chrome = ch.str();
+  e.decisions = d.str();
+  e.spans = sp.str();
+  e.events_jsonl = ej.str();
+  e.events_csv = ec.str();
+  e.series = std::move(series);
+  return e;
+}
+
+void enable_records(obs::Telemetry& tel) {
+  tel.tracer.set_enabled(true);
+  tel.decisions.set_enabled(true);
+  tel.spans.set_enabled(true);
+}
+
+TEST(ShardedScenario, OneShardIsTheFlatRun) {
+  migrate::RebalanceConfig rcfg;
+  rcfg.interval_s = 120.0;
+  ShardedConfig cfg;
+  cfg.machines = 12;
+  cfg.lambda_per_min = 30.0;
+  cfg.duration_s = 3600.0;
+  cfg.seed = 19;
+  cfg.shards = 1;
+  cfg.accuracy_family = "oracle";
+  cfg.accuracy_window = 32;
+  cfg.snapshot_interval_s = 600.0;
+  cfg.rebalance = true;
+  cfg.rebalance_cfg = rcfg;
+  cfg.rebalance_predictor = &oracle();
+
+  // The flat run, wired by hand.
+  DynamicConfig flat;
+  flat.machines = cfg.machines;
+  flat.lambda_per_min = cfg.lambda_per_min;
+  flat.duration_s = cfg.duration_s;
+  flat.seed = cfg.seed;
+  obs::Telemetry flat_tel;
+  enable_records(flat_tel);
+  TraceRecorder flat_trace;
+  obs::SnapshotSeries series(flat_tel.metrics, cfg.snapshot_interval_s);
+  obs::WindowedAccuracy win_runtime(cfg.accuracy_window);
+  obs::WindowedAccuracy win_iops(cfg.accuracy_window);
+  series.track_accuracy("model.oracle.runtime", &win_runtime);
+  series.track_accuracy("model.oracle.iops", &win_iops);
+  migrate::Rebalancer rebalancer(oracle(), rcfg);
+  flat.telemetry = &flat_tel;
+  flat.trace = &flat_trace;
+  flat.accuracy_probe = &oracle();
+  flat.accuracy_family = cfg.accuracy_family;
+  flat.snapshots = &series;
+  flat.windowed_runtime = &win_runtime;
+  flat.windowed_iops = &win_iops;
+  flat.rebalancer = &rebalancer;
+  std::unique_ptr<sched::Scheduler> sched = factory_for("mibs", cfg.seed)(0);
+  sched->set_telemetry(&flat_tel);
+  const DynamicOutcome flat_outcome = run_dynamic(table(), *sched, flat);
+  const Exports want =
+      exports_of(flat_outcome, flat_tel, flat_trace, series.str());
+  EXPECT_GT(want.outcome.completed, 0u);
+  EXPECT_NE(want.decisions.find("\"migration\""), std::string::npos);
+
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    obs::Telemetry tel;
+    enable_records(tel);
+    TraceRecorder trace;
+    ShardedConfig one = cfg;
+    one.threads = threads;
+    one.telemetry = &tel;
+    one.trace = &trace;
+    one.accuracy_probe = &oracle();
+    ShardedOutcome o =
+        run_dynamic_sharded(table(), factory_for("mibs", cfg.seed), one);
+    ASSERT_EQ(o.shards, 1u);
+    const Exports got = exports_of(o.total, tel, trace, o.series);
+    EXPECT_EQ(got.outcome.arrived, want.outcome.arrived) << threads;
+    EXPECT_EQ(got.outcome.dropped, want.outcome.dropped) << threads;
+    EXPECT_EQ(got.outcome.completed, want.outcome.completed) << threads;
+    EXPECT_EQ(got.outcome.total_runtime, want.outcome.total_runtime);
+    EXPECT_EQ(got.outcome.total_iops, want.outcome.total_iops);
+    EXPECT_EQ(got.outcome.mean_wait_s, want.outcome.mean_wait_s);
+    EXPECT_EQ(got.outcome.mean_queue_length, want.outcome.mean_queue_length);
+    EXPECT_EQ(got.outcome.duration_s, want.outcome.duration_s);
+    EXPECT_EQ(got.metrics, want.metrics) << threads;
+    EXPECT_EQ(got.metrics_csv, want.metrics_csv) << threads;
+    EXPECT_EQ(got.tracer_jsonl, want.tracer_jsonl) << threads;
+    EXPECT_EQ(got.chrome, want.chrome) << threads;
+    EXPECT_EQ(got.decisions, want.decisions) << threads;
+    EXPECT_EQ(got.spans, want.spans) << threads;
+    EXPECT_EQ(got.events_jsonl, want.events_jsonl) << threads;
+    EXPECT_EQ(got.events_csv, want.events_csv) << threads;
+    EXPECT_EQ(got.series, want.series) << threads;
+  }
+}
+
+TEST(ShardedScenario, EnsembleAndArrivalListNeedOneShard) {
+  sched::ConfidenceWeightedPredictor ensemble({{"oracle", &oracle()}});
+  ShardedConfig cfg = small_cfg(7, 1);
+  cfg.confidence = &ensemble;
+  EXPECT_THROW(run_dynamic_sharded(table(), factory_for("mix", 7), cfg),
+               std::invalid_argument);
+  const std::vector<Arrival> arrivals;
+  EXPECT_THROW(run_dynamic_sharded(table(), factory_for("fifo", 7),
+                                   small_cfg(7, 1), arrivals),
                std::invalid_argument);
 }
 

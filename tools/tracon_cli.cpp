@@ -52,27 +52,31 @@
 //   --csv                        machine-readable output where applicable
 //   --prof                       print wall-clock kernel profile to stderr
 //
-// Telemetry flags (dynamic subcommand):
+// Telemetry flags (dynamic, record, replay; the task-event files are
+// dynamic only):
 //   --metrics-out FILE           metrics registry as JSON
 //   --metrics-csv FILE           metrics registry as CSV
 //   --trace-out FILE             Chrome trace_event JSON (Perfetto-loadable)
 //   --trace-jsonl FILE           one trace event per line
 //   --events-jsonl FILE          per-task event log (tracon.task_events)
+//   --trace FILE                 per-task event log as CSV
 //
-// Sharded execution flags (dynamic subcommand; DESIGN.md §7):
+// Execution shape flags (dynamic, record, replay; DESIGN.md §7). Every
+// run goes through the sharded engine; with neither flag it has one
+// shard, the flat system, and the fingerprint and summary name no
+// shape. Either flag adds `shards`/`threads` to both.
 //   --threads N                  run shards on N workers (0 = all cores;
-//                                presence routes through the sharded
-//                                engine — results are byte-identical for
-//                                every N at a fixed seed/shard count)
-//   --shards K                   machine shards (default: auto, one per
-//                                128 machines, clamped to [1, 64]);
-//                                part of the simulated system's shape
-//   --prof requires --threads 1; --confidence-weighting is unsupported
-//   with the sharded engine.
+//                                results are byte-identical for every N
+//                                at a fixed seed/shard count)
+//   --shards K                   machine shards (default with --threads:
+//                                auto, one per 128 machines, clamped to
+//                                [1, 64]); part of the simulated
+//                                system's shape
+//   --prof requires --threads 1; --confidence-weighting, record and
+//   replay require a run that resolves to one shard.
 //   --candidate-index            place via the clustered candidate
 //                                shortlist index with per-scheduler
-//                                prediction memoization (dynamic, with
-//                                or without --threads). Placements are
+//                                prediction memoization. Placements are
 //                                bit-identical to the flat scan, so
 //                                every export keeps its exact bytes and
 //                                no fingerprint entry is stamped.
@@ -146,7 +150,6 @@
 
 #include "core/tracon.hpp"
 #include "migrate/rebalancer.hpp"
-#include "obs/accuracy.hpp"
 #include "obs/attribution.hpp"
 #include "obs/breakdown.hpp"
 #include "obs/decision_log.hpp"
@@ -162,9 +165,9 @@
 #include "runstore/runstore.hpp"
 #include "sched/candidate_index.hpp"
 #include "sched/fifo.hpp"
-#include "sched/mix.hpp"
 #include "sched/prediction_cache.hpp"
-#include "sim/dynamic_scenario.hpp"
+#include "sched/predictor.hpp"
+#include "sim/arrival_source.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/shard_scenario.hpp"
 #include "sim/static_scenario.hpp"
@@ -235,8 +238,8 @@ bool rebalance_from(const ArgParser& args, migrate::RebalanceConfig* out) {
   out->interval_s = args.get_double("rebalance-interval", out->interval_s);
   out->min_benefit_s =
       args.get_double("rebalance-min-benefit", out->min_benefit_s);
-  out->max_moves_per_round = static_cast<std::size_t>(args.get_int(
-      "rebalance-max-moves", static_cast<long>(out->max_moves_per_round)));
+  out->max_moves_per_round =
+      args.get_count("rebalance-max-moves", out->max_moves_per_round);
   out->cost.downtime_s =
       args.get_double("migration-downtime", out->cost.downtime_s);
   out->cost.copy_bandwidth_mbps =
@@ -248,53 +251,7 @@ bool rebalance_from(const ArgParser& args, migrate::RebalanceConfig* out) {
   return true;
 }
 
-/// Fingerprint entries for a rebalancing run. Pure functions of the
-/// flags — identical across thread counts, so they are safe to copy
-/// onto the decision-log fingerprint.
-void stamp_rebalance_fingerprint(obs::MetricsRegistry& metrics,
-                                 const migrate::RebalanceConfig& rc) {
-  metrics.set_fingerprint("rebalance", "on");
-  metrics.set_fingerprint("rebalance_interval",
-                          obs::json_number(rc.interval_s));
-}
-
-/// Stamps the run-identity block every metrics export carries: enough
-/// to tell two stored runs apart and to reproduce either one.
-void stamp_fingerprint(obs::MetricsRegistry& metrics,
-                       const sim::DynamicConfig& cfg, const std::string& host,
-                       const std::string& model, const std::string& scheduler,
-                       const std::string& source) {
-  metrics.set_fingerprint("seed", std::to_string(cfg.seed));
-  metrics.set_fingerprint("scheduler", scheduler);
-  metrics.set_fingerprint("machines", std::to_string(cfg.machines));
-  metrics.set_fingerprint("mix", workload::mix_name(cfg.mix));
-  metrics.set_fingerprint("host", host);
-  metrics.set_fingerprint("model", model);
-  metrics.set_fingerprint("source", source);
-  metrics.set_fingerprint("build", TRACON_GIT_DESCRIBE);
-}
-
-/// Copies the finished metrics fingerprint onto the decision log,
-/// minus the execution-shape keys (threads/shards): DESIGN.md §6g
-/// keeps the log byte-identical across `--threads N`, so its header
-/// must not record how many workers produced it.
-void stamp_decision_fingerprint(obs::Telemetry& tel) {
-  for (const auto& [key, value] : tel.metrics.fingerprint()) {
-    if (key == "threads" || key == "shards") continue;
-    tel.decisions.set_fingerprint(key, value);
-  }
-}
-
-/// Same contract for the span log (DESIGN.md §6i): the header must
-/// stay byte-identical across `--threads N`.
-void stamp_span_fingerprint(obs::Telemetry& tel) {
-  for (const auto& [key, value] : tel.metrics.fingerprint()) {
-    if (key == "threads" || key == "shards") continue;
-    tel.spans.set_fingerprint(key, value);
-  }
-}
-
-/// The `completed` line of both dynamic summaries. The normalized
+/// The `completed` line of the dynamic summary. The normalized
 /// throughput divides by at least one FIFO completion, so a horizon too
 /// short for FIFO to finish anything prints a number, never 0/0.
 void print_completed(std::size_t completed, std::size_t fifo_completed) {
@@ -313,10 +270,10 @@ struct ExportFile {
   std::function<void(std::ostream&)> write;
 };
 
-/// The telemetry exports both dynamic routes share, in report order;
-/// `series` writes the route's snapshot series.
-std::vector<ExportFile> telemetry_exports(
-    const obs::Telemetry& tel, std::function<void(std::ostream&)> series) {
+/// The telemetry exports of a dynamic, record or replay run, in report
+/// order; `series` is the run's snapshot series document.
+std::vector<ExportFile> telemetry_exports(const obs::Telemetry& tel,
+                                          const std::string& series) {
   return {
       {"metrics-out", "metrics JSON",
        [&tel](std::ostream& f) { tel.metrics.write_json(f); }},
@@ -326,7 +283,8 @@ std::vector<ExportFile> telemetry_exports(
        [&tel](std::ostream& f) { tel.tracer.write_chrome_json(f); }},
       {"trace-jsonl", "JSONL trace",
        [&tel](std::ostream& f) { tel.tracer.write_jsonl(f); }},
-      {"series-out", "metrics series", std::move(series)},
+      {"series-out", "metrics series",
+       [&series](std::ostream& f) { f << series; }},
       {"decisions-out", "decision log",
        [&tel](std::ostream& f) { tel.decisions.write(f); }},
       {"spans-out", "span log",
@@ -486,8 +444,7 @@ std::unique_ptr<sched::Scheduler> scheduler_from(
   auto objective = args.get("objective", "rt") == "io"
                        ? sched::Objective::kIops
                        : sched::Objective::kRuntime;
-  auto queue = static_cast<std::size_t>(
-      args.get_int("queue", static_cast<long>(default_queue)));
+  const std::size_t queue = args.get_count("queue", default_queue);
   sched::PlacementPolicy policy;
   if (static_batch) policy.beneficial_joins_only = false;
   core::SchedulerKind kind;
@@ -503,7 +460,7 @@ std::unique_ptr<sched::Scheduler> scheduler_from(
 
 int cmd_static(const ArgParser& args) {
   core::Tracon sys = make_system(args, true);
-  auto machines = static_cast<std::size_t>(args.get_int("machines", 16));
+  const std::size_t machines = args.get_count("machines", 16);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)) + 7);
   auto tasks = workload::sample_task_indices(mix_from(args), 2 * machines,
                                              rng);
@@ -527,215 +484,228 @@ int cmd_static(const ArgParser& args) {
   return 0;
 }
 
-/// Owns the optional per-run instrumentation the snapshot/confidence
-/// flags hang off one dynamic run: the snapshot sampler, the rolling
-/// accuracy windows, and (with --confidence-weighting) the ensemble's
-/// family tables, the ensemble itself, and the MIX scheduler bound to
-/// it. DynamicConfig holds raw pointers into this, so it must outlive
-/// the run — callers keep it on the stack and pass it by reference.
-struct RunInstruments {
-  std::optional<obs::SnapshotSeries> series;
-  std::optional<obs::WindowedAccuracy> win_runtime;
-  std::optional<obs::WindowedAccuracy> win_iops;
+/// One `dynamic`, `record` or `replay` run: its configuration and
+/// everything the configuration points into. ShardedConfig holds raw
+/// pointers into this, so it must outlive the run — callers keep it on
+/// the stack.
+struct DynamicRun {
+  sim::ShardedConfig cfg;
+  /// --threads or --shards was given: the fingerprint and the summary
+  /// then record the execution shape.
+  bool shape_given = false;
+  obs::Telemetry tel;
+  sim::TraceRecorder trace;
+  std::optional<sched::CandidateIndex> cindex;
+  std::vector<std::unique_ptr<sched::PredictionCache>> caches;
   std::vector<sched::TablePredictor> family_tables;
-  std::vector<std::string> family_names;
   std::unique_ptr<sched::ConfidenceWeightedPredictor> confidence;
-  std::unique_ptr<sched::Scheduler> scheduler;  ///< set iff confidence on
+  std::string scheduler_name;  ///< set by the scheduler factory
 };
 
-/// Wires --snapshot-interval / --series-out / --confidence-weighting /
-/// --accuracy-window into `cfg`. Mutates nothing when none of those
-/// flags are present, which is what keeps flag-off runs byte-identical
-/// to the pre-snapshot CLI.
-void instrument_run(const ArgParser& args, const core::Tracon& sys,
-                    sim::DynamicConfig& cfg, obs::Telemetry& tel,
-                    std::size_t default_queue, RunInstruments& inst) {
-  const auto window =
-      static_cast<std::size_t>(args.get_int("accuracy-window", 64));
-  if (args.has("confidence-weighting")) {
-    TRACON_REQUIRE(args.get("scheduler", "mibs") == "mix",
-                   "--confidence-weighting requires --scheduler mix");
-    const model::ModelKind kinds[] = {model::ModelKind::kWmm,
-                                      model::ModelKind::kLinear,
-                                      model::ModelKind::kNonlinear};
-    inst.family_tables.reserve(std::size(kinds));
-    inst.family_names.reserve(std::size(kinds));
-    for (model::ModelKind kind : kinds) {
-      inst.family_tables.push_back(sys.train_predictor(kind));
-      inst.family_names.push_back(model::model_kind_metric_family(kind));
-    }
-    std::vector<sched::ConfidenceWeightedPredictor::Family> families;
-    families.reserve(inst.family_tables.size());
-    for (std::size_t f = 0; f < inst.family_tables.size(); ++f)
-      families.push_back({inst.family_names[f], &inst.family_tables[f]});
-    sched::ConfidenceConfig ccfg;
-    ccfg.window = window;
-    inst.confidence = std::make_unique<sched::ConfidenceWeightedPredictor>(
-        std::move(families), ccfg);
-    inst.confidence->set_metrics(&tel.metrics);
-    cfg.outcome_observer = inst.confidence.get();
-    // The cumulative accuracy tracker scores the blend itself.
-    cfg.accuracy_probe = inst.confidence.get();
-    cfg.accuracy_family = "confidence";
-    auto objective = args.get("objective", "rt") == "io"
-                         ? sched::Objective::kIops
-                         : sched::Objective::kRuntime;
-    auto queue = static_cast<std::size_t>(
-        args.get_int("queue", static_cast<long>(default_queue)));
-    inst.scheduler = std::make_unique<sched::MixScheduler>(
-        *inst.confidence, objective, queue, 60.0, sched::PlacementPolicy{});
-  }
-  if (args.has("snapshot-interval") || args.has("series-out")) {
-    inst.series.emplace(tel.metrics,
-                        args.get_double("snapshot-interval", 600.0));
-    cfg.snapshots = &*inst.series;
-    if (inst.confidence != nullptr) {
-      for (std::size_t f = 0; f < inst.confidence->num_families(); ++f) {
-        const std::string& fam = inst.confidence->family_name(f);
-        inst.series->track_accuracy("model." + fam + ".runtime",
-                                    &inst.confidence->runtime_window(f));
-        inst.series->track_accuracy("model." + fam + ".iops",
-                                    &inst.confidence->iops_window(f));
-      }
-    } else {
-      inst.win_runtime.emplace(window);
-      inst.win_iops.emplace(window);
-      cfg.windowed_runtime = &*inst.win_runtime;
-      cfg.windowed_iops = &*inst.win_iops;
-      const std::string fam = obs::metric_path_component(cfg.accuracy_family);
-      inst.series->track_accuracy("model." + fam + ".runtime",
-                                  &*inst.win_runtime);
-      inst.series->track_accuracy("model." + fam + ".iops",
-                                  &*inst.win_iops);
-    }
-  }
-}
-
-/// `tracon dynamic --threads N [--shards K]`: the sharded engine.
-/// Split out of cmd_dynamic so the legacy single-threaded path stays
-/// byte-for-byte what it was; presence of either flag routes here, and
-/// DESIGN.md §7's contract makes every export byte-identical across
-/// thread counts (only the `threads` fingerprint entry differs).
-int cmd_dynamic_sharded(const ArgParser& args) {
-  TRACON_REQUIRE(!args.has("confidence-weighting"),
-                 "--confidence-weighting is not supported with --threads/"
-                 "--shards: the ensemble predictor is stateful and cannot be "
-                 "shared across shard workers");
-  core::Tracon sys = make_system(args, true);
-  sim::ShardedConfig cfg;
-  cfg.machines = static_cast<std::size_t>(args.get_int("machines", 64));
+/// The simulated workload of `dynamic` and `record`.
+void workload_from(const ArgParser& args, sim::ShardedConfig& cfg) {
+  cfg.machines = args.get_count("machines", 64);
   cfg.lambda_per_min = args.get_double("lambda", 100.0);
   cfg.duration_s = args.get_double("hours", 10.0) * 3600.0;
   cfg.mix = mix_from(args);
-  cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 8));
+  cfg.queue_capacity = args.get_count("queue", 8);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  cfg.threads = static_cast<std::size_t>(args.get_int("threads", 1));
-  cfg.shards = static_cast<std::size_t>(args.get_int("shards", 0));
+}
+
+/// --threads / --shards. With neither flag the run has one shard, the
+/// flat system (a tree with one manager); --threads alone keeps the
+/// auto shard count.
+void execution_from(const ArgParser& args, DynamicRun& run) {
+  run.shape_given = args.has("threads") || args.has("shards");
+  run.cfg.threads = args.get_count("threads", 1);
+  run.cfg.shards = run.shape_given ? args.get_count("shards", 0) : 1;
+}
+
+/// FIFO for shard `shard`: the core factory's seed + 1, split across
+/// shards the way the arrival streams split the seed.
+std::unique_ptr<sched::Scheduler> fifo_for(const sim::ShardedConfig& cfg,
+                                           std::size_t shard) {
+  return std::make_unique<sched::FifoScheduler>(
+      sim::shard_seed(cfg.seed + 1, shard, sim::effective_shards(cfg)));
+}
+
+/// Wires the rebalancing, index, telemetry, snapshot and confidence
+/// flags into run.cfg and returns the run's scheduler factory. Flags
+/// that are absent change nothing. `stored` marks record/replay: one
+/// manager queue takes their arrival list, their stored run is the
+/// metrics export, so telemetry is always on, and --decisions /
+/// --spans record a log for the store.
+sim::SchedulerFactory configure_run(const ArgParser& args,
+                                    const core::Tracon& sys, DynamicRun& run,
+                                    bool stored, std::size_t default_queue) {
+  sim::ShardedConfig& cfg = run.cfg;
+  TRACON_REQUIRE(!stored || sim::effective_shards(cfg) == 1,
+                 "record and replay feed one manager queue from their "
+                 "arrival list: the run needs one shard");
+  TRACON_REQUIRE(!args.has("prof") || cfg.threads == 1,
+                 "--prof requires --threads 1: the profiling accumulators "
+                 "are not synchronized across shard workers");
+  const bool want_confidence = args.has("confidence-weighting");
+  if (want_confidence) {
+    TRACON_REQUIRE(sim::effective_shards(cfg) == 1,
+                   "--confidence-weighting needs one shard: the ensemble "
+                   "learns online and cannot be shared across shards");
+    TRACON_REQUIRE(args.get("scheduler", "mibs") == "mix",
+                   "--confidence-weighting requires --scheduler mix");
+    TRACON_REQUIRE(!args.has("candidate-index"),
+                   "--candidate-index is built over the trained table "
+                   "predictor and cannot wrap the confidence ensemble");
+  }
   if (rebalance_from(args, &cfg.rebalance_cfg)) {
     cfg.rebalance = true;
     cfg.rebalance_predictor = &sys.predictor();
   }
-  TRACON_REQUIRE(!args.has("prof") || cfg.threads == 1,
-                 "--prof requires --threads 1: the profiling accumulators "
-                 "are not synchronized across shard workers");
-
   // Sublinear placement: one shortlist index shared read-only by every
-  // shard (the table predictor's model epoch never changes mid-run)
-  // plus a per-shard prediction cache created serially by the factory.
+  // shard plus a per-shard prediction cache created by the factory.
   // Placements are bit-identical to the flat scan, so no fingerprint
   // entry is stamped and exports cmp-equal against exact-scan runs.
-  std::optional<sched::CandidateIndex> cindex;
-  std::vector<std::unique_ptr<sched::PredictionCache>> caches;
   if (args.has("candidate-index")) {
-    cindex.emplace(sys.predictor());
-    cfg.candidate_index = &*cindex;
+    run.cindex.emplace(sys.predictor());
+    cfg.candidate_index = &*run.cindex;
   }
+  if (!stored && (args.has("trace") || args.has("events-jsonl")))
+    cfg.trace = &run.trace;
 
-  const bool want_metrics = args.has("metrics-out") || args.has("metrics-csv");
   const bool want_trace = args.has("trace-out") || args.has("trace-jsonl");
   const bool want_series =
       args.has("snapshot-interval") || args.has("series-out");
-  const bool want_decisions = args.has("decisions-out");
-  const bool want_spans = args.has("spans-out");
-  obs::Telemetry tel;
-  sim::TraceRecorder trace;
-  if (args.has("trace") || args.has("events-jsonl")) cfg.trace = &trace;
-  if (want_metrics || want_trace || want_series || want_decisions ||
-      want_spans) {
-    tel.tracer.set_enabled(want_trace);
-    tel.decisions.set_enabled(want_decisions);
-    tel.spans.set_enabled(want_spans);
-    cfg.telemetry = &tel;
+  const bool want_decisions =
+      args.has("decisions-out") || (stored && args.has("decisions"));
+  const bool want_spans =
+      args.has("spans-out") || (stored && args.has("spans"));
+  if (stored || args.has("metrics-out") || args.has("metrics-csv") ||
+      want_trace || want_series || want_decisions || want_spans ||
+      want_confidence) {
+    run.tel.tracer.set_enabled(want_trace);
+    run.tel.decisions.set_enabled(want_decisions);
+    run.tel.spans.set_enabled(want_spans);
+    cfg.telemetry = &run.tel;
     cfg.accuracy_probe = &sys.predictor();
     cfg.accuracy_family = model::model_kind_name(sys.model_kind());
-    cfg.accuracy_window =
-        static_cast<std::size_t>(args.get_int("accuracy-window", 64));
+    cfg.accuracy_window = args.get_count("accuracy-window", 64);
   }
-  if (want_series)
+  if (want_series) {
     cfg.snapshot_interval_s = args.get_double("snapshot-interval", 600.0);
+    // The engine reads a non-positive interval as "no series".
+    if (!(cfg.snapshot_interval_s > 0.0))
+      throw std::invalid_argument(
+          "--snapshot-interval must be positive, got '" +
+          args.get("snapshot-interval") + "'");
+  }
+  if (want_confidence) {
+    const model::ModelKind kinds[] = {model::ModelKind::kWmm,
+                                      model::ModelKind::kLinear,
+                                      model::ModelKind::kNonlinear};
+    run.family_tables.reserve(std::size(kinds));
+    std::vector<sched::ConfidenceWeightedPredictor::Family> families;
+    for (model::ModelKind kind : kinds) {
+      run.family_tables.push_back(sys.train_predictor(kind));
+      families.push_back({model::model_kind_metric_family(kind),
+                          &run.family_tables.back()});
+    }
+    sched::ConfidenceConfig ccfg;
+    ccfg.window = cfg.accuracy_window;
+    run.confidence = std::make_unique<sched::ConfidenceWeightedPredictor>(
+        std::move(families), ccfg);
+    cfg.confidence = run.confidence.get();
+  }
 
-  // FIFO normalization baseline over the same decomposition, with its
-  // own counter-derived per-shard seed stream (and no instrumentation).
-  sim::ShardedConfig base_cfg = cfg;
-  base_cfg.trace = nullptr;
-  base_cfg.telemetry = nullptr;
-  base_cfg.accuracy_probe = nullptr;
-  base_cfg.snapshot_interval_s = 0.0;
-  base_cfg.rebalance = false;
-  base_cfg.rebalance_predictor = nullptr;
-  base_cfg.candidate_index = nullptr;
+  const std::string kind = args.get("scheduler", "mibs");
+  return [&args, &sys, &run, kind, default_queue](std::size_t shard) {
+    std::unique_ptr<sched::Scheduler> s;
+    if (kind == "fifo") {
+      s = fifo_for(run.cfg, shard);
+    } else {
+      const sched::Predictor* predictor = run.confidence.get();
+      if (run.cindex.has_value()) {
+        run.caches.push_back(
+            std::make_unique<sched::PredictionCache>(sys.predictor()));
+        predictor = run.caches.back().get();
+      }
+      s = scheduler_from(args, sys, false, default_queue, predictor);
+    }
+    run.scheduler_name = s->name();
+    return s;
+  };
+}
+
+/// Stamps the run-identity block every metrics export carries — enough
+/// to tell two stored runs apart and to reproduce either one — and
+/// copies it onto the decision and span logs minus the execution-shape
+/// keys: DESIGN.md §6g/§6i keep those logs byte-identical across
+/// `--threads N`, so their headers must not record the worker count.
+void stamp_run(DynamicRun& run, const sim::ShardedOutcome& o,
+               const std::string& host, const std::string& model,
+               const std::string& source) {
+  obs::MetricsRegistry& m = run.tel.metrics;
+  m.set_fingerprint("seed", std::to_string(run.cfg.seed));
+  m.set_fingerprint("scheduler", run.scheduler_name);
+  m.set_fingerprint("machines", std::to_string(run.cfg.machines));
+  m.set_fingerprint("mix", workload::mix_name(run.cfg.mix));
+  m.set_fingerprint("host", host);
+  m.set_fingerprint("model", model);
+  m.set_fingerprint("source", source);
+  m.set_fingerprint("build", TRACON_GIT_DESCRIBE);
+  if (run.shape_given) {
+    m.set_fingerprint("threads", std::to_string(o.threads_used));
+    m.set_fingerprint("shards", std::to_string(o.shards));
+  }
+  if (run.confidence != nullptr) m.set_fingerprint("confidence", "on");
+  if (run.cfg.rebalance) {
+    m.set_fingerprint("rebalance", "on");
+    m.set_fingerprint("rebalance_interval",
+                      obs::json_number(run.cfg.rebalance_cfg.interval_s));
+  }
+  for (const auto& [key, value] : m.fingerprint()) {
+    if (key == "threads" || key == "shards") continue;
+    run.tel.decisions.set_fingerprint(key, value);
+    run.tel.spans.set_fingerprint(key, value);
+  }
+}
+
+/// `tracon dynamic`: the chosen scheduler's run plus a FIFO
+/// normalization baseline over the same shape. Without --threads or
+/// --shards this is the flat one-shard system; DESIGN.md §7's contract
+/// makes every export byte-identical across thread counts (only the
+/// `threads` fingerprint entry differs).
+int cmd_dynamic(const ArgParser& args) {
+  core::Tracon sys = make_system(args, true);
+  DynamicRun run;
+  workload_from(args, run.cfg);
+  execution_from(args, run);
+  // The baseline takes the shape only: no instrumentation, no
+  // rebalancing, no index, and its own FIFO seed stream.
+  const sim::ShardedConfig base_cfg = run.cfg;
+  const sim::SchedulerFactory factory =
+      configure_run(args, sys, run, false, 8);
   auto base = sim::run_dynamic_sharded(
       sys.perf_table(),
-      [&](std::size_t shard) -> std::unique_ptr<sched::Scheduler> {
-        return std::make_unique<sched::FifoScheduler>(
-            derive_stream_seed(cfg.seed + 1, shard));
-      },
-      base_cfg);
+      [&](std::size_t shard) { return fifo_for(base_cfg, shard); }, base_cfg);
+  auto o = sim::run_dynamic_sharded(sys.perf_table(), factory, run.cfg);
+  if (run.cfg.telemetry != nullptr)
+    stamp_run(run, o, args.get("host", "paper"), args.get("model", "nlm"),
+              "live");
 
-  const std::string sched_kind = args.get("scheduler", "mibs");
-  auto factory = [&](std::size_t shard) -> std::unique_ptr<sched::Scheduler> {
-    if (sched_kind == "fifo") {
-      // The core factory seeds FIFO at seed+1; shards split that
-      // stream the same way the arrival streams split cfg.seed.
-      return std::make_unique<sched::FifoScheduler>(
-          derive_stream_seed(cfg.seed + 1, shard));
-    }
-    if (!cindex.has_value()) return scheduler_from(args, sys, false);
-    caches.push_back(
-        std::make_unique<sched::PredictionCache>(sys.predictor()));
-    return scheduler_from(args, sys, false, 8, caches.back().get());
-  };
-  std::string sched_name = factory(0)->name();
-  auto o = sim::run_dynamic_sharded(sys.perf_table(), factory, cfg);
-
-  if (cfg.telemetry != nullptr) {
-    sim::DynamicConfig fp;
-    fp.seed = cfg.seed;
-    fp.machines = cfg.machines;
-    fp.mix = cfg.mix;
-    stamp_fingerprint(tel.metrics, fp, args.get("host", "paper"),
-                      args.get("model", "nlm"), sched_name, "live");
-    tel.metrics.set_fingerprint("threads", std::to_string(o.threads_used));
-    tel.metrics.set_fingerprint("shards", std::to_string(o.shards));
-    if (cfg.rebalance)
-      stamp_rebalance_fingerprint(tel.metrics, cfg.rebalance_cfg);
-    if (want_decisions) stamp_decision_fingerprint(tel);
-    if (want_spans) stamp_span_fingerprint(tel);
-  }
-
-  std::vector<ExportFile> files = telemetry_exports(
-      tel, [&](std::ostream& f) { f << o.series; });
+  std::vector<ExportFile> files = telemetry_exports(run.tel, o.series);
   files.push_back({"trace", "task-event CSV",
-                   [&](std::ostream& f) { trace.write_csv(f); }});
+                   [&](std::ostream& f) { run.trace.write_csv(f); }});
   files.push_back({"events-jsonl", "task-event JSONL",
-                   [&](std::ostream& f) { trace.write_jsonl(f); }});
+                   [&](std::ostream& f) { run.trace.write_jsonl(f); }});
   if (!write_exports(args, files, o.threads_used)) return 1;
 
-  std::printf("%s: %zu machines, %zu shards, %zu threads, lambda=%.0f/min, "
-              "%.1f h, %s mix\n",
-              sched_name.c_str(), cfg.machines, o.shards, o.threads_used,
-              cfg.lambda_per_min, cfg.duration_s / 3600.0,
-              workload::mix_name(cfg.mix).c_str());
+  const std::string shape =
+      run.shape_given ? std::to_string(o.shards) + " shards, " +
+                            std::to_string(o.threads_used) + " threads, "
+                      : "";
+  std::printf("%s: %zu machines, %slambda=%.0f/min, %.1f h, %s mix\n",
+              run.scheduler_name.c_str(), run.cfg.machines, shape.c_str(),
+              run.cfg.lambda_per_min, run.cfg.duration_s / 3600.0,
+              workload::mix_name(run.cfg.mix).c_str());
   print_completed(o.total.completed, base.total.completed);
   std::printf("  dropped %zu   mean runtime %.1f s   mean wait %.1f s\n",
               o.total.dropped,
@@ -743,126 +713,6 @@ int cmd_dynamic_sharded(const ArgParser& args) {
                   static_cast<double>(
                       std::max<std::size_t>(1, o.total.completed)),
               o.total.mean_wait_s);
-  return 0;
-}
-
-int cmd_dynamic(const ArgParser& args) {
-  if (args.has("threads") || args.has("shards"))
-    return cmd_dynamic_sharded(args);
-  core::Tracon sys = make_system(args, true);
-  sim::DynamicConfig cfg;
-  cfg.machines = static_cast<std::size_t>(args.get_int("machines", 64));
-  cfg.lambda_per_min = args.get_double("lambda", 100.0);
-  cfg.duration_s = args.get_double("hours", 10.0) * 3600.0;
-  cfg.mix = mix_from(args);
-  cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 8));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-
-  auto fifo = sys.make_scheduler(core::SchedulerKind::kFifo,
-                                 sched::Objective::kRuntime);
-  auto base = sim::run_dynamic(sys.perf_table(), *fifo, cfg);
-
-  // Sublinear placement (the FIFO normalization baseline above never
-  // consults an index, so it runs un-indexed either way). Bit-identical
-  // to the flat scan: no fingerprint entry, exports keep their bytes.
-  std::optional<sched::CandidateIndex> cindex;
-  std::optional<sched::PredictionCache> pcache;
-  if (args.has("candidate-index")) {
-    TRACON_REQUIRE(!args.has("confidence-weighting"),
-                   "--candidate-index is built over the trained table "
-                   "predictor and cannot wrap the confidence ensemble");
-    cindex.emplace(sys.predictor());
-    cfg.candidate_index = &*cindex;
-    pcache.emplace(sys.predictor());
-  }
-  const sched::Predictor* pover = pcache.has_value() ? &*pcache : nullptr;
-  sim::TraceRecorder trace;
-  if (args.has("trace") || args.has("events-jsonl")) cfg.trace = &trace;
-
-  // Rebalancing applies to the chosen-scheduler run only — the FIFO
-  // pass above stays the un-rebalanced normalization baseline.
-  migrate::RebalanceConfig reb_cfg;
-  const bool want_rebalance = rebalance_from(args, &reb_cfg);
-  std::optional<migrate::Rebalancer> rebalancer;
-  if (want_rebalance) {
-    rebalancer.emplace(sys.predictor(), reb_cfg);
-    cfg.rebalancer = &*rebalancer;
-  }
-
-  // Telemetry wraps only the chosen-scheduler run (the FIFO pass above
-  // is just the normalization baseline).
-  const bool want_metrics = args.has("metrics-out") || args.has("metrics-csv");
-  const bool want_trace = args.has("trace-out") || args.has("trace-jsonl");
-  const bool want_series =
-      args.has("snapshot-interval") || args.has("series-out");
-  const bool want_confidence = args.has("confidence-weighting");
-  const bool want_decisions = args.has("decisions-out");
-  const bool want_spans = args.has("spans-out");
-  obs::Telemetry tel;
-  RunInstruments inst;
-  std::unique_ptr<sched::Scheduler> sched;
-  if (want_metrics || want_trace || want_series || want_confidence ||
-      want_decisions || want_spans) {
-    tel.tracer.set_enabled(want_trace);
-    tel.decisions.set_enabled(want_decisions);
-    tel.spans.set_enabled(want_spans);
-    cfg.telemetry = &tel;
-    cfg.accuracy_probe = &sys.predictor();
-    cfg.accuracy_family = model::model_kind_name(sys.model_kind());
-    instrument_run(args, sys, cfg, tel, 8, inst);
-    sched = inst.scheduler != nullptr
-                ? std::move(inst.scheduler)
-                : scheduler_from(args, sys, false, 8, pover);
-    sched->set_telemetry(&tel);
-    stamp_fingerprint(tel.metrics, cfg, args.get("host", "paper"),
-                      args.get("model", "nlm"), sched->name(), "live");
-    if (want_confidence) tel.metrics.set_fingerprint("confidence", "on");
-    if (want_rebalance) stamp_rebalance_fingerprint(tel.metrics, reb_cfg);
-    if (want_decisions) stamp_decision_fingerprint(tel);
-    if (want_spans) stamp_span_fingerprint(tel);
-  } else {
-    sched = scheduler_from(args, sys, false, 8, pover);
-  }
-
-  auto o = sim::run_dynamic(sys.perf_table(), *sched, cfg);
-
-  if (!write_exports(args,
-                     telemetry_exports(tel,
-                                       [&](std::ostream& f) {
-                                         inst.series->write(f);
-                                       }),
-                     1))
-    return 1;
-
-  if (args.has("trace")) {
-    std::ofstream f(args.get("trace"));
-    if (!f) {
-      std::fprintf(stderr, "cannot open trace file '%s'\n",
-                   args.get("trace").c_str());
-      return 1;
-    }
-    trace.write_csv(f);
-    std::printf("trace (%zu events) written to %s\n", trace.events().size(),
-                args.get("trace").c_str());
-  }
-  if (args.has("events-jsonl")) {
-    std::ofstream f(args.get("events-jsonl"));
-    if (!f) {
-      std::fprintf(stderr, "cannot open task-event file '%s'\n",
-                   args.get("events-jsonl").c_str());
-      return 1;
-    }
-    trace.write_jsonl(f);
-    std::printf("task events (%zu) written to %s\n", trace.events().size(),
-                args.get("events-jsonl").c_str());
-  }
-  std::printf("%s: %zu machines, lambda=%.0f/min, %.1f h, %s mix\n",
-              sched->name().c_str(), cfg.machines, cfg.lambda_per_min,
-              cfg.duration_s / 3600.0, workload::mix_name(cfg.mix).c_str());
-  print_completed(o.completed, base.completed);
-  std::printf("  dropped %zu   mean runtime %.1f s   mean wait %.1f s\n",
-              o.dropped, o.total_runtime / std::max<std::size_t>(1, o.completed),
-              o.mean_wait_s);
   return 0;
 }
 
@@ -874,112 +724,42 @@ std::vector<double> solo_demands(const sim::PerfTable& table) {
   return demands;
 }
 
-/// Shared tail of `record` and `replay`: build the scheduler (the
-/// stock one, or the confidence-weighted MIX when the flag is on), run
-/// the simulation over an already-materialized arrival list with
-/// telemetry on, stamp the fingerprint, store the run (plus its
-/// snapshot series when sampled), and print a one-line summary plus
-/// the run id (the id is the last token on stdout, for scripting).
-int run_and_store(const ArgParser& args, core::Tracon& sys,
-                  sim::DynamicConfig& cfg,
+/// Shared tail of `record` and `replay`: run the configured workload
+/// over an already-materialized arrival list, stamp the fingerprint,
+/// write the exports, store the run (plus its snapshot series and logs
+/// when recorded), and print a one-line summary plus the run id (the
+/// id is the last token on stdout, for scripting).
+int run_and_store(const ArgParser& args, const core::Tracon& sys,
+                  DynamicRun& run, const sim::SchedulerFactory& factory,
                   std::span<const sim::Arrival> arrivals,
                   const std::string& host, const std::string& model,
-                  const std::string& source, std::size_t default_queue = 8) {
-  const bool want_decisions =
-      args.has("decisions") || args.has("decisions-out");
-  const bool want_spans = args.has("spans") || args.has("spans-out");
-  obs::Telemetry tel;
-  tel.tracer.set_enabled(false);
-  tel.decisions.set_enabled(want_decisions);
-  tel.spans.set_enabled(want_spans);
-  cfg.telemetry = &tel;
-  cfg.accuracy_probe = &sys.predictor();
-  cfg.accuracy_family = model::model_kind_name(sys.model_kind());
-  migrate::RebalanceConfig reb_cfg;
-  std::optional<migrate::Rebalancer> rebalancer;
-  if (rebalance_from(args, &reb_cfg)) {
-    rebalancer.emplace(sys.predictor(), reb_cfg);
-    cfg.rebalancer = &*rebalancer;
-  }
-  RunInstruments inst;
-  instrument_run(args, sys, cfg, tel, default_queue, inst);
-  std::unique_ptr<sched::Scheduler> sched =
-      inst.scheduler != nullptr
-          ? std::move(inst.scheduler)
-          : scheduler_from(args, sys, false, default_queue);
-  sched->set_telemetry(&tel);
-  auto o = sim::run_dynamic(sys.perf_table(), *sched, cfg, arrivals);
-  stamp_fingerprint(tel.metrics, cfg, host, model, sched->name(), source);
-  if (inst.confidence != nullptr)
-    tel.metrics.set_fingerprint("confidence", "on");
-  if (rebalancer.has_value())
-    stamp_rebalance_fingerprint(tel.metrics, reb_cfg);
-  if (want_decisions) stamp_decision_fingerprint(tel);
-  if (want_spans) stamp_span_fingerprint(tel);
-
-  if (args.has("metrics-out")) {
-    std::string path = args.get("metrics-out");
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "cannot open metrics file '%s'\n", path.c_str());
-      return 1;
-    }
-    tel.metrics.write_json(f);
-  }
-  if (args.has("series-out")) {
-    std::string path = args.get("series-out");
-    std::ofstream f(path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open series file '%s'\n", path.c_str());
-      return 1;
-    }
-    inst.series->write(f);
-    std::printf("metrics series written to %s\n", path.c_str());
-  }
-  if (args.has("decisions-out")) {
-    std::string path = args.get("decisions-out");
-    std::ofstream f(path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open decision-log file '%s'\n",
-                   path.c_str());
-      return 1;
-    }
-    tel.decisions.write(f);
-    std::printf("decision log written to %s\n", path.c_str());
-  }
-  if (args.has("spans-out")) {
-    std::string path = args.get("spans-out");
-    std::ofstream f(path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open span-log file '%s'\n", path.c_str());
-      return 1;
-    }
-    tel.spans.write(f);
-    std::printf("span log written to %s\n", path.c_str());
-  }
+                  const std::string& source) {
+  auto o =
+      sim::run_dynamic_sharded(sys.perf_table(), factory, run.cfg, arrivals);
+  stamp_run(run, o, host, model, source);
+  if (!write_exports(args, telemetry_exports(run.tel, o.series),
+                     o.threads_used))
+    return 1;
 
   runstore::RunStore store(args.get("store", "runs"));
-  std::string id =
-      store.add_run(tel.metrics, sched->name(), source,
-                    inst.series.has_value() ? inst.series->str() : "",
-                    want_decisions ? tel.decisions.str() : "",
-                    want_spans ? tel.spans.str() : "");
+  std::string id = store.add_run(
+      run.tel.metrics, run.scheduler_name, source, o.series,
+      run.tel.decisions.enabled() ? run.tel.decisions.str() : "",
+      run.tel.spans.enabled() ? run.tel.spans.str() : "");
   std::printf("%s (%s): %zu arrivals, completed %zu, dropped %zu\n",
-              sched->name().c_str(), source.c_str(), arrivals.size(),
-              o.completed, o.dropped);
+              run.scheduler_name.c_str(), source.c_str(), arrivals.size(),
+              o.total.completed, o.total.dropped);
   std::printf("stored run %s\n", id.c_str());
   return 0;
 }
 
 int cmd_record(const ArgParser& args) {
   core::Tracon sys = make_system(args, true);
-  sim::DynamicConfig cfg;
-  cfg.machines = static_cast<std::size_t>(args.get_int("machines", 64));
-  cfg.lambda_per_min = args.get_double("lambda", 100.0);
-  cfg.duration_s = args.get_double("hours", 10.0) * 3600.0;
-  cfg.mix = mix_from(args);
-  cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 8));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  DynamicRun run;
+  const sim::ShardedConfig& cfg = run.cfg;
+  workload_from(args, run.cfg);
+  execution_from(args, run);
+  const sim::SchedulerFactory factory = configure_run(args, sys, run, true, 8);
 
   replay::ArrivalTraceHeader header;
   header.version = obs::kJsonlSchemaVersion;
@@ -1013,8 +793,8 @@ int cmd_record(const ArgParser& args) {
   std::printf("trace (%zu arrivals) written to %s\n", writer.written(),
               trace_path.c_str());
 
-  return run_and_store(args, sys, cfg, arrivals, header.host, header.model,
-                       "live");
+  return run_and_store(args, sys, run, factory, arrivals, header.host,
+                       header.model, "live");
 }
 
 int cmd_replay(const ArgParser& args) {
@@ -1041,15 +821,17 @@ int cmd_replay(const ArgParser& args) {
   sys.register_applications(workload::paper_benchmarks());
   sys.train(model_by_name(model));
 
-  sim::DynamicConfig cfg;
-  cfg.machines = static_cast<std::size_t>(
-      args.get_int("machines", static_cast<long>(header.machines)));
+  DynamicRun run;
+  sim::ShardedConfig& cfg = run.cfg;
+  cfg.machines = args.get_count("machines", header.machines);
   cfg.lambda_per_min = header.lambda_per_min;
   cfg.duration_s = header.duration_s;
   cfg.mix = mix_by_name(header.mix);
-  cfg.queue_capacity = static_cast<std::size_t>(
-      args.get_int("queue", static_cast<long>(header.queue_capacity)));
+  cfg.queue_capacity = args.get_count("queue", header.queue_capacity);
   cfg.seed = header.seed;
+  execution_from(args, run);
+  const sim::SchedulerFactory factory =
+      configure_run(args, sys, run, true, header.queue_capacity);
 
   replay::TraceArrivalSource source(std::move(trace));
   if (!source.validate_demands(solo_demands(sys.perf_table()))) {
@@ -1060,8 +842,8 @@ int cmd_replay(const ArgParser& args) {
   std::vector<sim::Arrival> arrivals =
       source.arrivals(sys.perf_table().num_apps());
 
-  return run_and_store(args, sys, cfg, arrivals, host, model, "trace",
-                       header.queue_capacity);
+  return run_and_store(args, sys, run, factory, arrivals, host, model,
+                       "trace");
 }
 
 int cmd_runs(const ArgParser& args) {
@@ -1542,7 +1324,7 @@ int cmd_attribution(const ArgParser& args) {
     return rc;
   }
   obs::AttributionReport report = obs::attribute(doc);
-  const auto top = static_cast<std::size_t>(args.get_int("top", 10));
+  const std::size_t top = args.get_count("top", 10);
   const std::size_t shown = std::min(top, report.mispredict_order.size());
 
   if (args.has("json")) {
@@ -1834,18 +1616,17 @@ int cmd_profile(const ArgParser& args) {
 int cmd_hierarchy(const ArgParser& args) {
   core::Tracon sys = make_system(args, true);
   sim::HierarchyConfig cfg;
-  cfg.managers = static_cast<std::size_t>(args.get_int("managers", 4));
-  cfg.machines_per_manager =
-      static_cast<std::size_t>(args.get_int("machines", 16));
+  cfg.managers = args.get_count("managers", 4);
+  cfg.machines_per_manager = args.get_count("machines", 16);
   cfg.lambda_per_min = args.get_double("lambda", 100.0);
   cfg.duration_s = args.get_double("hours", 10.0) * 3600.0;
   cfg.mix = mix_from(args);
-  cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 8));
+  cfg.queue_capacity = args.get_count("queue", 8);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   cfg.routing = args.get("routing", "rr") == "random"
                     ? sim::Routing::kRandom
                     : sim::Routing::kRoundRobin;
-  cfg.threads = static_cast<std::size_t>(args.get_int("threads", 1));
+  cfg.threads = args.get_count("threads", 1);
 
   auto outcome = sim::run_hierarchical(
       sys.perf_table(),
