@@ -24,6 +24,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "model/profiler.hpp"
 #include "obs/json.hpp"
@@ -104,13 +105,13 @@ DriftRun run_once(const sim::PerfTable& table,
   sim::MixShiftArrivalSource source(
       cfg.lambda_per_min, cfg.duration_s, cfg.duration_s / 2.0,
       workload::MixKind::kLight, workload::MixKind::kHeavy, 1.5, cfg.seed);
-  cfg.arrival_source = &source;
+  const std::vector<sim::Arrival> arrivals = source.arrivals(table.num_apps());
 
   sched::MixScheduler mix(pred, sched::Objective::kRuntime, 8, 60.0, {});
   tel.metrics.set_fingerprint("scheduler", mix.name());
   tel.metrics.set_fingerprint("confidence", adapt ? "on" : "off");
   tel.metrics.set_fingerprint("seed", std::to_string(cfg.seed));
-  sim::DynamicOutcome o = sim::run_dynamic(table, mix, cfg);
+  sim::DynamicOutcome o = sim::run_dynamic(table, mix, cfg, arrivals);
 
   DriftRun result;
   result.id = store.add_run(tel.metrics, mix.name(),

@@ -24,6 +24,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "migrate/rebalancer.hpp"
 #include "model/profiler.hpp"
@@ -69,7 +70,7 @@ AbRun run_once(const sim::PerfTable& table,
   sim::MixShiftArrivalSource source(cfg.lambda_per_min, cfg.duration_s,
                                     shift_s, workload::MixKind::kLight,
                                     workload::MixKind::kHeavy, 1.5, cfg.seed);
-  cfg.arrival_source = &source;
+  const std::vector<sim::Arrival> arrivals = source.arrivals(table.num_apps());
 
   migrate::RebalanceConfig rcfg;
   rcfg.interval_s = 120.0;
@@ -88,7 +89,7 @@ AbRun run_once(const sim::PerfTable& table,
   tel.metrics.set_fingerprint("scheduler", fifo.name());
   tel.metrics.set_fingerprint("seed", std::to_string(cfg.seed));
   tel.metrics.set_fingerprint("rebalance", rebalance ? "on" : "off");
-  sim::DynamicOutcome o = sim::run_dynamic(table, fifo, cfg);
+  sim::DynamicOutcome o = sim::run_dynamic(table, fifo, cfg, arrivals);
 
   AbRun result;
   result.completed = o.completed;

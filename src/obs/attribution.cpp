@@ -7,14 +7,14 @@
 
 namespace tracon::obs {
 
-AttributionReport attribute(const DecisionDoc& doc) {
+AttributionReport attribute(std::span<const DecisionEvent> events) {
   AttributionReport report;
 
   // Last decision wins per task id, matching DecisionLog's index.
   std::map<std::uint64_t, std::size_t> decision_by_task;
   std::uint64_t total_candidates = 0;
-  for (std::size_t i = 0; i < doc.events.size(); ++i) {
-    const DecisionEvent& e = doc.events[i];
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const DecisionEvent& e = events[i];
     if (e.kind == DecisionEvent::Kind::kDecision) {
       ++report.decisions;
       total_candidates += e.candidates.size();
@@ -28,12 +28,12 @@ AttributionReport attribute(const DecisionDoc& doc) {
 
   double total_abs_runtime_error = 0.0;
   double total_abs_iops_error = 0.0;
-  for (const DecisionEvent& e : doc.events) {
+  for (const DecisionEvent& e : events) {
     if (e.kind != DecisionEvent::Kind::kOutcome) continue;
     ++report.outcomes;
     auto it = decision_by_task.find(e.task);
     if (it == decision_by_task.end()) continue;  // e.g. FIFO placements
-    const DecisionEvent& d = doc.events[it->second];
+    const DecisionEvent& d = events[it->second];
 
     AttributionRow row;
     row.task = e.task;

@@ -7,7 +7,7 @@
 //     (task app class, realized co-runner),
 //   - a mispredict ranking, worst absolute runtime error first.
 //
-// Everything here is a pure function of the parsed DecisionDoc: maps
+// Everything here is a pure function of the decision records: maps
 // iterate in key order and ties break on task id, so the same log
 // always yields the same report — `tracon attribution --json` is
 // byte-deterministic.
@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,8 +76,9 @@ struct AttributionReport {
   std::map<PairKey, PairCell> pairs;  ///< (app, co-runner) heatmap
 };
 
-/// Builds the report. Pure and deterministic: same doc, same bytes out
-/// of any serializer that walks it in order.
-AttributionReport attribute(const DecisionDoc& doc);
+/// Builds the report from a log's records (a parsed DecisionDoc's
+/// `events`, or a live DecisionLog's). Pure and deterministic: same
+/// records, same bytes out of any serializer that walks it in order.
+AttributionReport attribute(std::span<const DecisionEvent> events);
 
 }  // namespace tracon::obs

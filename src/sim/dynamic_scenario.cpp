@@ -65,6 +65,35 @@ struct Event {
   bool operator>(const Event& o) const { return time > o.time; }
 };
 
+/// The one walk over a task's progress segments in [from, to): its
+/// migration freeze (no progress), then the machine's copy window
+/// (reduced speed), then full speed. Calls f(kind, t0, t1) per segment
+/// with the span kind in force: kMigrationFreeze, kMigrationCopy or
+/// kRunning.
+template <typename F>
+void walk_segments(const RunningTask& t, const Machine& m, double from,
+                   double to, F&& f) {
+  double t0 = from;
+  while (t0 < to) {
+    double t1 = to;
+    obs::SpanEvent::Kind kind = obs::SpanEvent::Kind::kRunning;
+    if (t0 < t.frozen_until_s) {
+      kind = obs::SpanEvent::Kind::kMigrationFreeze;
+      t1 = std::min(t1, t.frozen_until_s);
+    } else if (t0 < m.copy_until_s) {
+      kind = obs::SpanEvent::Kind::kMigrationCopy;
+      t1 = std::min(t1, m.copy_until_s);
+    }
+    f(kind, t0, t1);
+    t0 = t1;
+  }
+}
+
+/// Typed-tracer kind of each TaskEventKind, in enum order.
+constexpr obs::TraceEventKind kTracedKind[] = {
+    obs::TraceEventKind::kTaskArrival, obs::TraceEventKind::kTaskDropped,
+    obs::TraceEventKind::kTaskPlaced, obs::TraceEventKind::kTaskCompleted};
+
 int registry_key(const Machine& m) {
   std::size_t occ = m.occupancy();
   if (occ == 2) return SlotRegistry::kNone;
@@ -91,11 +120,8 @@ std::vector<Arrival> generate_arrivals(const DynamicConfig& cfg,
 DynamicOutcome run_dynamic(const PerfTable& table,
                            sched::Scheduler& scheduler,
                            const DynamicConfig& cfg) {
-  std::vector<Arrival> arrivals =
-      cfg.arrival_source != nullptr
-          ? cfg.arrival_source->arrivals(table.num_apps())
-          : generate_arrivals(cfg, table.num_apps());
-  return run_dynamic(table, scheduler, cfg, arrivals);
+  return run_dynamic(table, scheduler, cfg,
+                     generate_arrivals(cfg, table.num_apps()));
 }
 
 DynamicOutcome run_dynamic(const PerfTable& table,
@@ -220,42 +246,42 @@ DynamicOutcome run_dynamic(const PerfTable& table,
     RunningTask& t = *m.slot[slot];
     auto nb = neighbour_of(m, slot);
     const double speed = table.speed(t.app, nb);
-    double t0 = t.span_open_s;
-    while (t0 < now) {
-      obs::SpanEvent se;
-      se.task = t.task_id;
-      se.app = t.app;
-      se.machine = mi;
-      se.t0_s = t0;
-      double t1 = now;
-      if (t0 < t.frozen_until_s) {
-        se.kind = obs::SpanEvent::Kind::kMigrationFreeze;
-        t1 = std::min(t1, t.frozen_until_s);
-      } else if (t0 < m.copy_until_s) {
-        se.kind = obs::SpanEvent::Kind::kMigrationCopy;
-        se.neighbour = nb;
-        se.factor = speed;
-        se.copy_factor = copy_factor;
-        t1 = std::min(t1, m.copy_until_s);
-      } else {
-        se.kind = obs::SpanEvent::Kind::kRunning;
-        se.neighbour = nb;
-        se.factor = speed;
-      }
-      se.t1_s = t1;
-      tel->spans.record(std::move(se));
-      t0 = t1;
-    }
+    walk_segments(t, m, t.span_open_s, now,
+                  [&](obs::SpanEvent::Kind kind, double t0, double t1) {
+                    obs::SpanEvent se;
+                    se.kind = kind;
+                    se.task = t.task_id;
+                    se.app = t.app;
+                    se.machine = mi;
+                    se.t0_s = t0;
+                    se.t1_s = t1;
+                    if (kind != obs::SpanEvent::Kind::kMigrationFreeze) {
+                      se.neighbour = nb;
+                      se.factor = speed;
+                    }
+                    if (kind == obs::SpanEvent::Kind::kMigrationCopy)
+                      se.copy_factor = copy_factor;
+                    tel->spans.record(std::move(se));
+                  });
     t.span_open_s = now;
   };
   auto close_epochs = [&](std::size_t mi, double now) {
     close_epoch(mi, 0, now);
     close_epoch(mi, 1, now);
   };
+  // A task's wait in the manager queue, from its arrival to `until`.
+  auto queued_span = [&](const sched::QueuedTask& q, double until) {
+    obs::SpanEvent qs;
+    qs.kind = obs::SpanEvent::Kind::kQueued;
+    qs.task = q.id;
+    qs.app = q.app;
+    qs.t0_s = q.arrival_s;
+    qs.t1_s = until;
+    tel->spans.record(std::move(qs));
+  };
 
   // Brings a machine's running tasks up to `now`, integrating progress
-  // piecewise over a task's migration freeze (no progress) and the
-  // machine's copy window (reduced speed).
+  // over the segments walk_segments yields.
   auto advance_machine = [&](std::size_t mi, double now) {
     Machine& m = fleet[mi];
     for (int s = 0; s < 2; ++s) {
@@ -265,23 +291,19 @@ DynamicOutcome run_dynamic(const PerfTable& table,
       auto nb = neighbour_of(m, s);
       double speed = table.speed(t.app, nb);
       double iops = table.iops(t.app, nb);
-      double t0 = t.last_update_s;
-      while (t0 < now) {
-        double t1 = now;
-        double factor = 1.0;
-        if (t0 < t.frozen_until_s) {
-          factor = 0.0;
-          t1 = std::min(t1, t.frozen_until_s);
-        } else if (t0 < m.copy_until_s) {
-          factor = copy_factor;
-          t1 = std::min(t1, m.copy_until_s);
-        }
-        double dt = t1 - t0;
-        t.remaining_solo_s =
-            std::max(0.0, t.remaining_solo_s - dt * speed * factor);
-        t.iops_integral += iops * factor * dt;
-        t0 = t1;
-      }
+      walk_segments(t, m, t.last_update_s, now,
+                    [&](obs::SpanEvent::Kind kind, double t0, double t1) {
+                      double factor =
+                          kind == obs::SpanEvent::Kind::kMigrationFreeze
+                              ? 0.0
+                          : kind == obs::SpanEvent::Kind::kMigrationCopy
+                              ? copy_factor
+                              : 1.0;
+                      double dt = t1 - t0;
+                      t.remaining_solo_s = std::max(
+                          0.0, t.remaining_solo_s - dt * speed * factor);
+                      t.iops_integral += iops * factor * dt;
+                    });
       t.last_update_s = now;
     }
   };
@@ -320,6 +342,61 @@ DynamicOutcome run_dynamic(const PerfTable& table,
     }
   };
 
+  // Records one task-lifecycle event in both the task-event log and the
+  // typed tracer.
+  auto task_event = [&](double now, TaskEventKind kind, std::size_t app,
+                        std::size_t machine, std::size_t count, double value,
+                        double value2) {
+    if (cfg.trace != nullptr) cfg.trace->record(now, kind, app, machine);
+    trace_event(now, kTracedKind[static_cast<std::size_t>(kind)], app,
+                machine, count, value, value2);
+  };
+
+  // Puts task `t` on machine `mi` at `now` (scheduler placement and
+  // migration destination): brings the machine up to date, closes the
+  // resident's epoch (its co-runner changes), claims the free slot, and
+  // updates the class counts, the registry key and the busy counters.
+  // The caller re-times the machine's ETAs.
+  auto occupy = [&](std::size_t mi, RunningTask t, double now) {
+    counts.place(t.app, t.placed_neighbour);
+    advance_machine(mi, now);
+    if (spans_on) close_epochs(mi, now);
+    Machine& m = fleet[mi];
+    const int slot = m.slot[0].has_value() ? 1 : 0;
+    TRACON_ASSERT(!m.slot[slot].has_value(), "slot already busy");
+    t.last_update_s = now;
+    t.span_open_s = now;
+    m.slot[slot] = t;
+    registry.set_key(mi, registry_key(m));
+    ++busy_slots;
+    if (m.occupancy() == 1) {
+      ++busy_machines;
+      trace_event(now, obs::TraceEventKind::kVmStart, t.app, mi,
+                  m.occupancy(), 0.0, 0.0);
+    }
+  };
+
+  // Takes the task in `slot` off machine `mi` at `now` (completion and
+  // migration source): closes both epochs (the task's ends, the
+  // survivor's co-runner changes), frees the slot, and updates the busy
+  // counters, the class counts and the registry key. Returns the task;
+  // the caller re-times the machine's ETAs.
+  auto lift = [&](std::size_t mi, int slot, double now) {
+    if (spans_on) close_epochs(mi, now);
+    Machine& m = fleet[mi];
+    RunningTask t = *m.slot[slot];
+    m.slot[slot].reset();
+    --busy_slots;
+    if (m.occupancy() == 0) {
+      --busy_machines;
+      trace_event(now, obs::TraceEventKind::kVmStop, t.app, mi, 0,
+                  now - t.started_s, 0.0);
+    }
+    counts.depart(t.app, neighbour_of(m, slot));
+    registry.set_key(mi, registry_key(m));
+    return t;
+  };
+
   // Invokes the scheduler repeatedly until it stops placing (a batch
   // scheduler only handles one window per call).
   auto run_scheduler = [&](double now) {
@@ -331,55 +408,31 @@ DynamicOutcome run_dynamic(const PerfTable& table,
       remove.reserve(placements.size());
       for (const auto& p : placements) {
         TRACON_ASSERT(p.queue_pos < queue.size(), "bad placement position");
-        std::size_t app = queue[p.queue_pos].app;
-        counts.place(app, p.neighbour);
+        const sched::QueuedTask& q = queue[p.queue_pos];
         int key = p.neighbour.has_value()
                       ? 1 + static_cast<int>(*p.neighbour)
                       : 0;
         std::size_t mi = registry.pop(key);
-        advance_machine(mi, now);
-        Machine& m = fleet[mi];
-        int slot = m.slot[0].has_value() ? 1 : 0;
-        TRACON_ASSERT(!m.slot[slot].has_value(), "slot already busy");
         RunningTask t;
-        t.app = app;
-        t.remaining_solo_s = table.solo_runtime(app);
+        t.app = q.app;
+        t.remaining_solo_s = table.solo_runtime(q.app);
         t.started_s = now;
-        t.last_update_s = now;
         t.placed_neighbour = p.neighbour;
-        t.task_id = queue[p.queue_pos].id;
+        t.task_id = q.id;
         if (tel != nullptr) tel->decisions.bind_machine(t.task_id, mi);
         if (cfg.accuracy_probe != nullptr) {
           t.predicted_runtime_s =
-              cfg.accuracy_probe->predict_runtime(app, p.neighbour);
-          t.predicted_iops = cfg.accuracy_probe->predict_iops(app, p.neighbour);
+              cfg.accuracy_probe->predict_runtime(q.app, p.neighbour);
+          t.predicted_iops =
+              cfg.accuracy_probe->predict_iops(q.app, p.neighbour);
         }
-        t.span_open_s = now;
-        if (spans_on) {
-          close_epochs(mi, now);  // the resident's co-runner changes
-          obs::SpanEvent qs;
-          qs.kind = obs::SpanEvent::Kind::kQueued;
-          qs.task = t.task_id;
-          qs.app = app;
-          qs.t0_s = queue[p.queue_pos].arrival_s;
-          qs.t1_s = now;
-          tel->spans.record(std::move(qs));
-        }
-        m.slot[slot] = t;
-        registry.set_key(mi, registry_key(m));
+        occupy(mi, t, now);
+        if (spans_on) queued_span(q, now);
         update_etas(mi, now);
-        ++busy_slots;
-        if (m.occupancy() == 1) {
-          ++busy_machines;
-          trace_event(now, obs::TraceEventKind::kVmStart, app, mi,
-                      m.occupancy(), 0.0, 0.0);
-        }
-        if (cfg.trace != nullptr)
-          cfg.trace->record(now, TaskEventKind::kPlaced, app, mi);
-        double wait = now - queue[p.queue_pos].arrival_s;
+        double wait = now - q.arrival_s;
         if (wait_hist != nullptr) wait_hist->observe(wait);
-        trace_event(now, obs::TraceEventKind::kTaskPlaced, app, mi,
-                    queue.size(), t.predicted_runtime_s, wait);
+        task_event(now, TaskEventKind::kPlaced, q.app, mi, queue.size(),
+                   t.predicted_runtime_s, wait);
         wait_sum += wait;
         ++started;
         if (c_placed != nullptr) c_placed->inc();
@@ -429,12 +482,8 @@ DynamicOutcome run_dynamic(const PerfTable& table,
     // every plan derived from it) is thread-count independent.
     std::optional<obs::AttributionReport> report;
     if (tel != nullptr && tel->decisions.enabled() &&
-        tel->decisions.size() > 0) {
-      obs::DecisionDoc doc;
-      doc.version = obs::kJsonlSchemaVersion;
-      doc.events = tel->decisions.events();
-      report.emplace(obs::attribute(doc));
-    }
+        tel->decisions.size() > 0)
+      report.emplace(obs::attribute(tel->decisions.events()));
     const auto plans = cfg.rebalancer->plan(
         now, views, counts, report.has_value() ? &*report : nullptr);
     for (const migrate::MigrationPlan& p : plans) {
@@ -458,43 +507,15 @@ DynamicOutcome run_dynamic(const PerfTable& table,
           slot = s;
       }
       TRACON_ASSERT(slot >= 0, "planned migration names a missing task");
-      // Close both source epochs before lifting: the moved task's
-      // epoch ends and the left-behind co-runner's neighbour changes.
-      if (spans_on) close_epochs(p.from_machine, now);
-      RunningTask moved = *src.slot[slot];
-      src.slot[slot].reset();
-      --busy_slots;
-      if (src.occupancy() == 0) {
-        --busy_machines;
-        trace_event(now, obs::TraceEventKind::kVmStop, moved.app,
-                    p.from_machine, 0, now - moved.started_s, 0.0);
-      }
-      counts.depart(moved.app, neighbour_of(src, slot));
-      registry.set_key(p.from_machine, registry_key(src));
-
-      counts.place(moved.app, p.dest_neighbour);
-      advance_machine(dest_mi, now);
-      // Close the destination resident's epoch too — its co-runner is
-      // about to change, and the copy window below must only cover
-      // epochs opened at `now`.
-      if (spans_on) close_epochs(dest_mi, now);
-      Machine& dst = fleet[dest_mi];
-      int dslot = dst.slot[0].has_value() ? 1 : 0;
-      TRACON_ASSERT(!dst.slot[dslot].has_value(), "slot already busy");
-      moved.last_update_s = now;
-      moved.span_open_s = now;
+      RunningTask moved = lift(p.from_machine, slot, now);
       moved.frozen_until_s = now + p.downtime_s;
       moved.placed_neighbour = p.dest_neighbour;
-      dst.slot[dslot] = moved;
-      registry.set_key(dest_mi, registry_key(dst));
-      ++busy_slots;
-      if (dst.occupancy() == 1) {
-        ++busy_machines;
-        trace_event(now, obs::TraceEventKind::kVmStart, moved.app, dest_mi,
-                    dst.occupancy(), 0.0, 0.0);
-      }
+      // Occupying closes the destination resident's epoch too, so the
+      // copy window below only covers epochs opened at `now`.
+      occupy(dest_mi, moved, now);
 
       double copy_end = now + p.copy_s;
+      Machine& dst = fleet[dest_mi];
       src.copy_until_s = std::max(src.copy_until_s, copy_end);
       dst.copy_until_s = std::max(dst.copy_until_s, copy_end);
       update_etas(p.from_machine, now);
@@ -579,62 +600,59 @@ DynamicOutcome run_dynamic(const PerfTable& table,
       TRACON_ASSERT(m.slot[slot].has_value(),
                     "completion entry for an empty slot");
       advance_machine(mi, now);
-      RunningTask* t = &*m.slot[slot];
-      if (t->remaining_solo_s > 1e-6) {
+      const RunningTask& t = *m.slot[slot];
+      if (t.remaining_solo_s > 1e-6) {
         // Floating-point residue left the finish past the computed
         // ETA; re-arm the slot's entry at the corrected time.
         update_etas(mi, now);
         continue;
       }
-      double runtime = now - t->started_s;
-      double mean_iops = runtime > 0.0 ? t->iops_integral / runtime : 0.0;
+      double runtime = now - t.started_s;
+      double mean_iops = runtime > 0.0 ? t.iops_integral / runtime : 0.0;
       ++out.completed;
       if (c_completed != nullptr) c_completed->inc();
       out.total_runtime += runtime;
       out.total_iops += mean_iops;
-      std::size_t departed = t->app;
-      if (cfg.trace != nullptr)
-        cfg.trace->record(now, TaskEventKind::kCompleted, departed, mi);
+      std::size_t departed = t.app;
       if (runtime_hist != nullptr) runtime_hist->observe(runtime);
-      trace_event(now, obs::TraceEventKind::kTaskCompleted, departed, mi, 0,
-                  runtime, mean_iops);
-      if (acc_runtime.has_value() && t->predicted_runtime_s >= 0.0)
-        acc_runtime->record(t->predicted_runtime_s, runtime);
-      if (acc_iops.has_value() && t->predicted_iops >= 0.0)
-        acc_iops->record(t->predicted_iops, mean_iops);
-      if (cfg.windowed_runtime != nullptr && t->predicted_runtime_s >= 0.0)
-        cfg.windowed_runtime->record(t->predicted_runtime_s, runtime);
-      if (cfg.windowed_iops != nullptr && t->predicted_iops >= 0.0)
-        cfg.windowed_iops->record(t->predicted_iops, mean_iops);
+      task_event(now, TaskEventKind::kCompleted, departed, mi, 0, runtime,
+                 mean_iops);
+      if (acc_runtime.has_value() && t.predicted_runtime_s >= 0.0)
+        acc_runtime->record(t.predicted_runtime_s, runtime);
+      if (acc_iops.has_value() && t.predicted_iops >= 0.0)
+        acc_iops->record(t.predicted_iops, mean_iops);
+      if (cfg.windowed_runtime != nullptr && t.predicted_runtime_s >= 0.0)
+        cfg.windowed_runtime->record(t.predicted_runtime_s, runtime);
+      if (cfg.windowed_iops != nullptr && t.predicted_iops >= 0.0)
+        cfg.windowed_iops->record(t.predicted_iops, mean_iops);
       if (cfg.outcome_observer != nullptr) {
-        cfg.outcome_observer->on_completion(departed, t->placed_neighbour,
+        cfg.outcome_observer->on_completion(departed, t.placed_neighbour,
                                             runtime, mean_iops);
       }
       if (cfg.rebalancer != nullptr) {
-        cfg.rebalancer->observe_completion(departed, t->placed_neighbour,
+        cfg.rebalancer->observe_completion(departed, t.placed_neighbour,
                                            runtime,
                                            table.solo_runtime(departed));
       }
       if (tel != nullptr && tel->decisions.enabled()) {
         obs::DecisionEvent de;
-        de.task = t->task_id;
+        de.task = t.task_id;
         de.time_s = now;
         de.app = departed;
         de.machine = mi;
-        de.neighbour = t->placed_neighbour;
+        de.neighbour = t.placed_neighbour;
         de.runtime_s = runtime;
         de.iops = mean_iops;
         de.solo_runtime_s = table.solo_runtime(departed);
         tel->decisions.record_outcome(std::move(de));
       }
+      // Lifting closes the departing task's final segment and the
+      // survivor's epoch; the completion marker follows them.
+      const std::uint64_t task_id = lift(mi, slot, now).task_id;
       if (spans_on) {
-        // Close the departing task's final segment and the
-        // survivor's epoch (its co-runner is about to leave), then
-        // mark the completion.
-        close_epochs(mi, now);
         obs::SpanEvent cm;
         cm.kind = obs::SpanEvent::Kind::kCompleted;
-        cm.task = t->task_id;
+        cm.task = task_id;
         cm.app = departed;
         cm.machine = mi;
         cm.t0_s = now;
@@ -642,15 +660,6 @@ DynamicOutcome run_dynamic(const PerfTable& table,
         cm.solo_runtime_s = table.solo_runtime(departed);
         tel->spans.record(std::move(cm));
       }
-      m.slot[slot].reset();
-      --busy_slots;
-      if (m.occupancy() == 0) {
-        --busy_machines;
-        trace_event(now, obs::TraceEventKind::kVmStop, departed, mi, 0,
-                    runtime, 0.0);
-      }
-      counts.depart(departed, neighbour_of(m, slot));
-      registry.set_key(mi, registry_key(m));
       update_etas(mi, now);
       if (online) run_scheduler(now);
       continue;
@@ -666,20 +675,16 @@ DynamicOutcome run_dynamic(const PerfTable& table,
         std::size_t idx = ev.index;
         std::size_t app = arrivals[idx].app;
         TRACON_ASSERT(app < n, "arrival app out of range");
-        if (cfg.trace != nullptr)
-          cfg.trace->record(ev.time, TaskEventKind::kArrived, app);
-        trace_event(ev.time, obs::TraceEventKind::kTaskArrival, app,
-                    obs::TraceEvent::kNone, queue.size(), 0.0, 0.0);
+        task_event(ev.time, TaskEventKind::kArrived, app,
+                   TaskEvent::kNoMachine, queue.size(), 0.0, 0.0);
         if (queue.size() < cfg.queue_capacity) {
           queue.push_back({app, ev.time, static_cast<std::uint64_t>(idx)});
           run_scheduler(ev.time);
         } else {
           ++out.dropped;  // manager queue full: task rejected
           if (c_dropped != nullptr) c_dropped->inc();
-          if (cfg.trace != nullptr)
-            cfg.trace->record(ev.time, TaskEventKind::kDropped, app);
-          trace_event(ev.time, obs::TraceEventKind::kTaskDropped, app,
-                      obs::TraceEvent::kNone, queue.size(), 0.0, 0.0);
+          task_event(ev.time, TaskEventKind::kDropped, app,
+                     TaskEvent::kNoMachine, queue.size(), 0.0, 0.0);
         }
         if (idx + 1 < arrivals.size() &&
             arrivals[idx + 1].time_s < cfg.duration_s) {
@@ -731,15 +736,7 @@ DynamicOutcome run_dynamic(const PerfTable& table,
     // the breakdown reports them as incomplete.
     for (std::size_t mi = 0; mi < cfg.machines; ++mi)
       close_epochs(mi, cfg.duration_s);
-    for (const sched::QueuedTask& q : queue) {
-      obs::SpanEvent qs;
-      qs.kind = obs::SpanEvent::Kind::kQueued;
-      qs.task = q.id;
-      qs.app = q.app;
-      qs.t0_s = q.arrival_s;
-      qs.t1_s = cfg.duration_s;
-      tel->spans.record(std::move(qs));
-    }
+    for (const sched::QueuedTask& q : queue) queued_span(q, cfg.duration_s);
   }
 
   out.duration_s = cfg.duration_s;

@@ -100,13 +100,6 @@ struct DynamicConfig {
   /// does not change during the run when the run is sharded (a
   /// TablePredictor qualifies).
   const sched::CandidateIndex* candidate_index = nullptr;
-  /// Optional arrival stream override (not owned; may be nullptr). When
-  /// set, run_dynamic(table, scheduler, cfg) draws the arrival list from
-  /// this source and lambda_per_min / mix / mix_stddev / seed are
-  /// ignored; when null, the paper's Poisson generator
-  /// (PoissonArrivalSource over those fields) is used. This is how a
-  /// recorded trace is replayed under a different scheduler.
-  ArrivalSource* arrival_source = nullptr;
 };
 
 struct DynamicOutcome {
@@ -125,8 +118,8 @@ DynamicOutcome run_dynamic(const PerfTable& table,
                            sched::Scheduler& scheduler,
                            const DynamicConfig& cfg);
 
-/// Generates the Poisson/mix arrival stream `run_dynamic` would use
-/// when cfg.arrival_source is null — exposed so callers (e.g. the
+/// Generates the Poisson/mix arrival stream `run_dynamic` uses when
+/// given no arrival list — exposed so callers (e.g. the
 /// hierarchical manager) can split one stream exactly across
 /// sub-simulations. Thin wrapper over PoissonArrivalSource.
 std::vector<Arrival> generate_arrivals(const DynamicConfig& cfg,
@@ -134,6 +127,8 @@ std::vector<Arrival> generate_arrivals(const DynamicConfig& cfg,
 
 /// Same simulation over an explicit arrival list (must be sorted by
 /// time); cfg.lambda_per_min / mix / seed are ignored for arrivals.
+/// A recorded trace or any other ArrivalSource is replayed by passing
+/// `source.arrivals(table.num_apps())` here.
 DynamicOutcome run_dynamic(const PerfTable& table,
                            sched::Scheduler& scheduler,
                            const DynamicConfig& cfg,

@@ -5,7 +5,6 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -81,31 +80,23 @@ void summed_gauge(obs::MetricsRegistry& merged,
   if (present) merged.gauge(name).set(acc);
 }
 
-/// Merges the per-shard snapshot series window by window. All shards
-/// sample the same virtual-clock grid (same interval and horizon), so
-/// records pair up by window index: counter deltas and gauges sum,
-/// accuracy statistics merge weighted by each shard's windowed sample
-/// count.
+/// Merges the per-shard snapshot series window by window, folding the
+/// shards' records directly. All shards sample the same virtual-clock
+/// grid (same interval and horizon), so records pair up by window
+/// index: counter deltas and gauges sum, accuracy statistics merge
+/// weighted by each shard's windowed sample count.
 std::string merge_series(const std::vector<ShardState>& states) {
-  obs::MetricsSeries merged;
-  bool first = true;
-  for (const ShardState& s : states) {
-    obs::MetricsSeries part = obs::parse_metrics_series(s.series->str());
-    if (first) {
-      merged.version = part.version;
-      merged.interval_s = part.interval_s;
-      merged.windows = std::move(part.windows);
-      // Pre-scale accuracy stats by their weights; divided back out
-      // after every shard is folded in.
-      for (obs::SeriesWindow& w : merged.windows)
-        for (auto& [name, a] : w.accuracy) {
-          a.mean_abs *= a.count;
-          a.p50 *= a.count;
-          a.p90 *= a.count;
-        }
-      first = false;
-      continue;
+  obs::MetricsSeries merged = states[0].series->series();
+  // Pre-scale accuracy stats by their weights; divided back out after
+  // every shard is folded in.
+  for (obs::SeriesWindow& w : merged.windows)
+    for (auto& [name, a] : w.accuracy) {
+      a.mean_abs *= a.count;
+      a.p50 *= a.count;
+      a.p90 *= a.count;
     }
+  for (std::size_t i = 1; i < states.size(); ++i) {
+    const obs::MetricsSeries& part = states[i].series->series();
     TRACON_REQUIRE(part.windows.size() == merged.windows.size(),
                    "shards disagree on snapshot window count");
     for (std::size_t w = 0; w < part.windows.size(); ++w) {

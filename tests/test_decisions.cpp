@@ -331,7 +331,7 @@ TEST(Attribution, JoinsErrorsAndRanksMispredicts) {
   // task 9: orphan outcome (no decision) is counted but not joined.
   doc.events.push_back(make_outcome(9, 250.0, 1, std::nullopt, 90.0, 90.0));
 
-  obs::AttributionReport r = obs::attribute(doc);
+  obs::AttributionReport r = obs::attribute(doc.events);
   EXPECT_EQ(r.decisions, 3u);
   EXPECT_EQ(r.outcomes, 3u);
   EXPECT_EQ(r.joined, 2u);
@@ -355,7 +355,7 @@ TEST(Attribution, JoinsErrorsAndRanksMispredicts) {
 TEST(Attribution, EmptyDocumentYieldsEmptyReport) {
   DecisionDoc doc;
   doc.version = 1;
-  obs::AttributionReport r = obs::attribute(doc);
+  obs::AttributionReport r = obs::attribute(doc.events);
   EXPECT_EQ(r.decisions, 0u);
   EXPECT_EQ(r.outcomes, 0u);
   EXPECT_EQ(r.joined, 0u);
@@ -368,7 +368,7 @@ TEST(Attribution, EmptyDocumentYieldsEmptyReport) {
 TEST(Attribution, LiveRunJoinsEveryOutcome) {
   SingleRun run = run_single(7, true);
   obs::AttributionReport r =
-      obs::attribute(obs::parse_decision_log(run.decisions));
+      obs::attribute(obs::parse_decision_log(run.decisions).events);
   EXPECT_GT(r.decisions, 0u);
   EXPECT_GT(r.joined, 0u);
   // MIBS records a decision for every placement, so every outcome in

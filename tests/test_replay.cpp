@@ -231,13 +231,13 @@ TEST_F(ReplayedDynamic, ReplayMatchesLiveRunUnderSameScheduler) {
   sim::DynamicOutcome live =
       sim::run_dynamic(table(), live_fifo, cfg, live_arrivals);
 
-  // Replay through cfg.arrival_source.
+  // Replay the recorded trace through the arrival-list overload.
   std::istringstream trace_in(trace_os.str());
   TraceArrivalSource source(load_arrival_trace(trace_in));
   EXPECT_TRUE(source.validate_demands(demands));
-  cfg.arrival_source = &source;
   sched::FifoScheduler replay_fifo(9);
-  sim::DynamicOutcome replayed = sim::run_dynamic(table(), replay_fifo, cfg);
+  sim::DynamicOutcome replayed = sim::run_dynamic(
+      table(), replay_fifo, cfg, source.arrivals(table().num_apps()));
 
   EXPECT_EQ(replayed.arrived, live.arrived);
   EXPECT_EQ(replayed.dropped, live.dropped);

@@ -218,10 +218,10 @@ DriftResult run_drift(bool adapt) {
   sim::MixShiftArrivalSource source(cfg.lambda_per_min, cfg.duration_s,
                                     3600.0, workload::MixKind::kLight,
                                     workload::MixKind::kHeavy, 1.5, cfg.seed);
-  cfg.arrival_source = &source;
 
   sched::MixScheduler mix(pred, sched::Objective::kRuntime, 8, 60.0, {});
-  sim::DynamicOutcome o = sim::run_dynamic(table(), mix, cfg);
+  sim::DynamicOutcome o = sim::run_dynamic(
+      table(), mix, cfg, source.arrivals(table().num_apps()));
   EXPECT_GT(o.completed, 0u);
   DriftResult result;
   result.mean_completion_s =

@@ -395,7 +395,9 @@ TEST(SpanSharding, FourThreadsByteIdenticalToOne) {
     // Merged spans carry globally re-indexed machine ids and still
     // tile per task (breakdown throws otherwise).
     for (const SpanEvent& e : doc.events) {
-      if (e.machine != SpanEvent::kNoMachine) EXPECT_LT(e.machine, 26u);
+      if (e.machine != SpanEvent::kNoMachine) {
+        EXPECT_LT(e.machine, 26u);
+      }
     }
     obs::BreakdownReport r = obs::breakdown(doc);
     EXPECT_GT(r.rows.size(), 0u);

@@ -895,9 +895,11 @@ int cmd_report(const ArgParser& args) {
   }
   if (ra.has_decisions() && rb.has_decisions()) {
     obs::AttributionReport aa =
-        obs::attribute(obs::parse_decision_log(store.read_decisions(ra)));
+        obs::attribute(
+            obs::parse_decision_log(store.read_decisions(ra)).events);
     obs::AttributionReport ab =
-        obs::attribute(obs::parse_decision_log(store.read_decisions(rb)));
+        obs::attribute(
+            obs::parse_decision_log(store.read_decisions(rb)).events);
     runstore::diff_decisions(aa, ab, &report);
   }
   if (ra.has_spans() && rb.has_spans()) {
@@ -915,46 +917,83 @@ int cmd_report(const ArgParser& args) {
   return 0;
 }
 
+/// One kind of log a reporting command reads, from a file (--FLAG FILE)
+/// or from a stored run's object; the nouns and the recording flag
+/// fill its error messages.
+struct LogKind {
+  const char* flag;
+  const char* file_noun;    ///< "cannot open <file_noun> '<path>'"
+  const char* stored_noun;  ///< "run <id> has no stored <stored_noun>"
+  const char* record_flag;  ///< the flag that records it
+  bool (runstore::RunRecord::*has)() const;
+  std::string (runstore::RunStore::*read)(const runstore::RunRecord&) const;
+};
+
+constexpr LogKind kSeriesLog{"series", "series file", "metrics series",
+                             "--snapshot-interval",
+                             &runstore::RunRecord::has_series,
+                             &runstore::RunStore::read_series};
+constexpr LogKind kDecisionLog{"decisions", "decision log", "decision log",
+                               "--decisions",
+                               &runstore::RunRecord::has_decisions,
+                               &runstore::RunStore::read_decisions};
+constexpr LogKind kSpanLog{"spans", "span log", "span log", "--spans",
+                           &runstore::RunRecord::has_spans,
+                           &runstore::RunStore::read_spans};
+
+/// The one "file or stored run" loader: reads a log of `kind` from
+/// --FLAG FILE, or from the stored run whose id prefix is positional
+/// `idx` (resolved against --store). Returns 0 and fills text/label, 1
+/// after printing an error, or 2 when neither source was given (the
+/// caller prints its usage line).
+int load_log(const ArgParser& args, std::size_t idx, const LogKind& kind,
+             std::string* text, std::string* label) {
+  if (args.has(kind.flag)) {
+    const std::string path = args.get(kind.flag);
+    std::ifstream f(path, std::ios::binary);
+    if (!f) {
+      std::fprintf(stderr, "cannot open %s '%s'\n", kind.file_noun,
+                   path.c_str());
+      return 1;
+    }
+    std::ostringstream buf;
+    buf << f.rdbuf();
+    *text = buf.str();
+    *label = path;
+    return 0;
+  }
+  if (args.positional().size() <= idx) return 2;
+  runstore::RunStore store(args.get("store", "runs"));
+  auto rec = store.find(args.positional()[idx]);
+  if (!rec.has_value()) {
+    std::fprintf(stderr, "no run matches id prefix '%s' in store '%s'\n",
+                 args.positional()[idx].c_str(),
+                 args.get("store", "runs").c_str());
+    return 1;
+  }
+  if (!((*rec).*kind.has)()) {
+    std::fprintf(stderr, "run %s has no stored %s (record it with %s)\n",
+                 rec->id.c_str(), kind.stored_noun, kind.record_flag);
+    return 1;
+  }
+  *text = (store.*kind.read)(*rec);
+  *label = rec->id;
+  return 0;
+}
+
 /// Renders a tracon.metrics_series document. The series comes either
 /// from a file (--series FILE) or from a stored run's series object
 /// (positional run-id prefix, resolved against --store).
 int cmd_timeline(const ArgParser& args) {
   std::string content;
   std::string label;
-  if (args.has("series")) {
-    const std::string path = args.get("series");
-    std::ifstream f(path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open series file '%s'\n", path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << f.rdbuf();
-    content = buf.str();
-    label = path;
-  } else if (args.positional().size() >= 2) {
-    runstore::RunStore store(args.get("store", "runs"));
-    auto rec = store.find(args.positional()[1]);
-    if (!rec.has_value()) {
-      std::fprintf(stderr, "no run matches id prefix '%s' in store '%s'\n",
-                   args.positional()[1].c_str(),
-                   args.get("store", "runs").c_str());
-      return 1;
-    }
-    if (!rec->has_series()) {
+  if (int rc = load_log(args, 1, kSeriesLog, &content, &label); rc != 0) {
+    if (rc == 2) {
       std::fprintf(stderr,
-                   "run %s has no stored metrics series (record it with "
-                   "--snapshot-interval)\n",
-                   rec->id.c_str());
-      return 1;
+                   "usage: tracon timeline (--series FILE | <run-id-prefix> "
+                   "[--store DIR]) [--metric SUBSTR] [--json]\n");
     }
-    content = store.read_series(*rec);
-    label = rec->id;
-  } else {
-    std::fprintf(stderr,
-                 "usage: tracon timeline (--series FILE | <run-id-prefix> "
-                 "[--store DIR]) [--metric SUBSTR] [--json]\n");
-    return 2;
+    return rc;
   }
 
   obs::MetricsSeries series = obs::parse_metrics_series(content);
@@ -1047,92 +1086,6 @@ int cmd_timeline(const ArgParser& args) {
   return 0;
 }
 
-/// Shared source resolution for `explain` and `attribution`: the
-/// decision log comes either from a file (--decisions FILE) or from a
-/// stored run's decisions object (run-id prefix at positional `idx`,
-/// resolved against --store). Returns 0 and fills doc/label, 1 after
-/// printing an error, or 2 when neither source was given (the caller
-/// prints its usage line).
-int load_decision_doc(const ArgParser& args, std::size_t idx,
-                      obs::DecisionDoc* doc, std::string* label) {
-  std::string content;
-  if (args.has("decisions")) {
-    const std::string path = args.get("decisions");
-    std::ifstream f(path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open decision log '%s'\n", path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << f.rdbuf();
-    content = buf.str();
-    *label = path;
-  } else if (args.positional().size() > idx) {
-    runstore::RunStore store(args.get("store", "runs"));
-    auto rec = store.find(args.positional()[idx]);
-    if (!rec.has_value()) {
-      std::fprintf(stderr, "no run matches id prefix '%s' in store '%s'\n",
-                   args.positional()[idx].c_str(),
-                   args.get("store", "runs").c_str());
-      return 1;
-    }
-    if (!rec->has_decisions()) {
-      std::fprintf(stderr,
-                   "run %s has no stored decision log (record it with "
-                   "--decisions)\n",
-                   rec->id.c_str());
-      return 1;
-    }
-    content = store.read_decisions(*rec);
-    *label = rec->id;
-  } else {
-    return 2;
-  }
-  *doc = obs::parse_decision_log(content);
-  return 0;
-}
-
-/// Same resolution for the span log (`breakdown`, `critical-path`):
-/// --spans FILE, or a stored run's spans object (run-id prefix at
-/// positional `idx`). Same return convention as load_decision_doc.
-int load_span_doc(const ArgParser& args, std::size_t idx, obs::SpanDoc* doc,
-                  std::string* label) {
-  std::string content;
-  if (args.has("spans")) {
-    const std::string path = args.get("spans");
-    std::ifstream f(path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open span log '%s'\n", path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << f.rdbuf();
-    content = buf.str();
-    *label = path;
-  } else if (args.positional().size() > idx) {
-    runstore::RunStore store(args.get("store", "runs"));
-    auto rec = store.find(args.positional()[idx]);
-    if (!rec.has_value()) {
-      std::fprintf(stderr, "no run matches id prefix '%s' in store '%s'\n",
-                   args.positional()[idx].c_str(),
-                   args.get("store", "runs").c_str());
-      return 1;
-    }
-    if (!rec->has_spans()) {
-      std::fprintf(stderr,
-                   "run %s has no stored span log (record it with --spans)\n",
-                   rec->id.c_str());
-      return 1;
-    }
-    content = store.read_spans(*rec);
-    *label = rec->id;
-  } else {
-    return 2;
-  }
-  *doc = obs::parse_span_log(content);
-  return 0;
-}
-
 /// `tracon explain <task-id>`: renders one task's decision record —
 /// every candidate slot the scheduler scanned, what each model family
 /// predicted for it, the confidence weights in force, and the margin —
@@ -1156,12 +1109,13 @@ int cmd_explain(const ArgParser& args) {
                  args.positional()[1].c_str());
     return 2;
   }
-  obs::DecisionDoc doc;
+  std::string text;
   std::string label;
-  if (int rc = load_decision_doc(args, 2, &doc, &label); rc != 0) {
+  if (int rc = load_log(args, 2, kDecisionLog, &text, &label); rc != 0) {
     if (rc == 2) std::fprintf(stderr, "%s", kUsage);
     return rc;
   }
+  const obs::DecisionDoc doc = obs::parse_decision_log(text);
 
   // Last record wins, matching the attribution engine's join: a task
   // id appears once per run, but a merged or hand-edited log should
@@ -1258,11 +1212,13 @@ int cmd_explain(const ArgParser& args) {
   obs::SpanDoc spans;
   bool have_spans = false;
   if (args.has("spans")) {
+    std::string span_text;
     std::string span_label;
-    if (int rc = load_span_doc(args, args.positional().size(), &spans,
-                               &span_label);
+    if (int rc = load_log(args, args.positional().size(), kSpanLog,
+                          &span_text, &span_label);
         rc != 0)
       return rc;
+    spans = obs::parse_span_log(span_text);
     have_spans = true;
   } else if (!args.has("decisions") && args.positional().size() > 2) {
     runstore::RunStore store(args.get("store", "runs"));
@@ -1317,13 +1273,14 @@ int cmd_attribution(const ArgParser& args) {
   const char* kUsage =
       "usage: tracon attribution (--decisions FILE | <run-id-prefix> "
       "[--store DIR]) [--top N] [--json]\n";
-  obs::DecisionDoc doc;
+  std::string text;
   std::string label;
-  if (int rc = load_decision_doc(args, 1, &doc, &label); rc != 0) {
+  if (int rc = load_log(args, 1, kDecisionLog, &text, &label); rc != 0) {
     if (rc == 2) std::fprintf(stderr, "%s", kUsage);
     return rc;
   }
-  obs::AttributionReport report = obs::attribute(doc);
+  const obs::DecisionDoc doc = obs::parse_decision_log(text);
+  obs::AttributionReport report = obs::attribute(doc.events);
   const std::size_t top = args.get_count("top", 10);
   const std::size_t shown = std::min(top, report.mispredict_order.size());
 
@@ -1435,12 +1392,13 @@ int cmd_breakdown(const ArgParser& args) {
   const char* kUsage =
       "usage: tracon breakdown (--spans FILE | <run-id-prefix> "
       "[--store DIR]) [--window S] [--json]\n";
-  obs::SpanDoc doc;
+  std::string text;
   std::string label;
-  if (int rc = load_span_doc(args, 1, &doc, &label); rc != 0) {
+  if (int rc = load_log(args, 1, kSpanLog, &text, &label); rc != 0) {
     if (rc == 2) std::fprintf(stderr, "%s", kUsage);
     return rc;
   }
+  const obs::SpanDoc doc = obs::parse_span_log(text);
   const double window_s = args.get_double("window", 0.0);
   obs::BreakdownReport report = obs::breakdown(doc, window_s);
 
@@ -1545,12 +1503,13 @@ int cmd_critical_path(const ArgParser& args) {
   const char* kUsage =
       "usage: tracon critical-path (--spans FILE | <run-id-prefix> "
       "[--store DIR]) [--json]\n";
-  obs::SpanDoc doc;
+  std::string text;
   std::string label;
-  if (int rc = load_span_doc(args, 1, &doc, &label); rc != 0) {
+  if (int rc = load_log(args, 1, kSpanLog, &text, &label); rc != 0) {
     if (rc == 2) std::fprintf(stderr, "%s", kUsage);
     return rc;
   }
+  const obs::SpanDoc doc = obs::parse_span_log(text);
   std::vector<obs::CriticalPathEntry> chain = obs::critical_path(doc);
 
   if (args.has("json")) {
