@@ -1,6 +1,7 @@
 // Micro benchmarks (google-benchmark): the scheduling-overhead claims of
 // Section 3.2 (MIOS cheapest, MIX costliest, MIBS in between), model
-// training/prediction cost, and the host-simulator allocation solver.
+// training/prediction cost, the host-simulator allocation solver, and
+// the whole set-up (profile + train) on one worker and on every core.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -12,6 +13,7 @@
 #include "sched/mibs.hpp"
 #include "sched/mios.hpp"
 #include "sched/mix.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "virt/fairshare.hpp"
 #include "workload/benchmarks.hpp"
@@ -69,6 +71,24 @@ void BM_PairMeasurement(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PairMeasurement);
+
+/// register_applications + train, as every `tracon` invocation pays it,
+/// with set-up on state.range(0) workers.
+void BM_Setup(benchmark::State& state) {
+  core::TraconConfig cfg;
+  cfg.threads = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    core::Tracon s(cfg);
+    s.register_applications(workload::paper_benchmarks());
+    s.train(model::ModelKind::kNonlinear);
+    benchmark::DoNotOptimize(s.predictor());
+  }
+}
+BENCHMARK(BM_Setup)
+    ->Arg(1)
+    ->Arg(static_cast<std::int64_t>(hardware_threads()))
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_TrainNlm(benchmark::State& state) {
   core::Tracon& sys = system_instance();

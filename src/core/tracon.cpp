@@ -1,10 +1,12 @@
 #include "core/tracon.hpp"
 
+#include "obs/scope_timer.hpp"
 #include "sched/fifo.hpp"
 #include "sched/mibs.hpp"
 #include "sched/mios.hpp"
 #include "sched/mix.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace tracon::core {
 
@@ -20,7 +22,7 @@ std::string scheduler_kind_name(SchedulerKind kind) {
 
 Tracon::Tracon(TraconConfig cfg)
     : cfg_(cfg),
-      profiler_(virt::HostSimulator(cfg.host), cfg.seed),
+      profiler_(virt::HostSimulator(cfg.host), cfg.seed, cfg.threads),
       synthetic_(workload::synthetic_workloads(cfg.synthetic)) {
   TRACON_REQUIRE(cfg.host.num_cores > 0, "host must have at least one core");
 }
@@ -29,40 +31,44 @@ void Tracon::register_applications(
     const std::vector<virt::AppBehavior>& apps) {
   TRACON_REQUIRE(!apps.empty(), "need at least one application");
   apps_ = apps;
-  training_sets_.clear();
-  training_sets_.reserve(apps_.size());
-  for (const auto& app : apps_)
-    training_sets_.push_back(profiler_.profile_against(app, synthetic_));
-  perf_table_ = sim::PerfTable::build(profiler_, apps_);
+  {
+    TRACON_PROF_SCOPE("model.profile");
+    training_sets_ = profiler_.profile_against(apps_, synthetic_);
+  }
+  {
+    TRACON_PROF_SCOPE("sim.perf_table");
+    perf_table_ = sim::PerfTable::build(profiler_, apps_);
+  }
   models_.clear();
   predictor_.reset();
 }
 
-void Tracon::train(model::ModelKind kind) {
+std::vector<model::ModelPair> Tracon::fit_models(model::ModelKind kind) const {
   TRACON_REQUIRE(!apps_.empty(), "register applications before training");
-  kind_ = kind;
-  models_.clear();
-  models_.reserve(apps_.size());
+  TRACON_PROF_SCOPE("model.train");
+  std::vector<model::ModelPair> models(apps_.size());
+  parallel_for(profiler_.threads(), models.size(), [&](std::size_t a) {
+    models[a] = model::train_model_pair(kind, training_sets_[a]);
+  });
+  return models;
+}
+
+std::vector<monitor::AppProfile> Tracon::app_profiles() const {
   std::vector<monitor::AppProfile> profiles;
   profiles.reserve(apps_.size());
-  for (std::size_t a = 0; a < apps_.size(); ++a) {
-    models_.push_back(model::train_model_pair(kind, training_sets_[a]));
+  for (std::size_t a = 0; a < apps_.size(); ++a)
     profiles.push_back(perf_table_->profile(a));
-  }
-  predictor_ = sched::TablePredictor::from_models(models_, profiles);
+  return profiles;
+}
+
+void Tracon::train(model::ModelKind kind) {
+  models_ = fit_models(kind);
+  kind_ = kind;
+  predictor_ = sched::TablePredictor::from_models(models_, app_profiles());
 }
 
 sched::TablePredictor Tracon::train_predictor(model::ModelKind kind) const {
-  TRACON_REQUIRE(!apps_.empty(), "register applications before training");
-  std::vector<model::ModelPair> models;
-  models.reserve(apps_.size());
-  std::vector<monitor::AppProfile> profiles;
-  profiles.reserve(apps_.size());
-  for (std::size_t a = 0; a < apps_.size(); ++a) {
-    models.push_back(model::train_model_pair(kind, training_sets_[a]));
-    profiles.push_back(perf_table_->profile(a));
-  }
-  return sched::TablePredictor::from_models(models, profiles);
+  return sched::TablePredictor::from_models(fit_models(kind), app_profiles());
 }
 
 const sim::PerfTable& Tracon::perf_table() const {

@@ -33,6 +33,9 @@ struct TraconConfig {
   virt::HostConfig host = virt::HostConfig::paper_testbed();
   workload::SyntheticConfig synthetic;
   std::uint64_t seed = 42;
+  /// Set-up workers (profiling, perf table, training); 0 means
+  /// hardware_threads(). Every result is bit-identical for every count.
+  std::size_t threads = 0;
 };
 
 class Tracon {
@@ -41,11 +44,13 @@ class Tracon {
 
   /// Profiles the applications (solo + pairwise ground truth) and
   /// gathers each one's interference training set against the synthetic
-  /// workload generator. Must be called before train().
+  /// workload generator, on the set-up pool. Must be called before
+  /// train().
   void register_applications(const std::vector<virt::AppBehavior>& apps);
 
-  /// Trains per-application interference models of the given kind and
-  /// builds the prediction table the schedulers consult.
+  /// Trains per-application interference models of the given kind (one
+  /// pool job per application) and builds the prediction table the
+  /// schedulers consult.
   void train(model::ModelKind kind);
 
   /// Trains a standalone prediction table of the given kind from the
@@ -79,6 +84,10 @@ class Tracon {
       const sched::Predictor* predictor_override = nullptr) const;
 
  private:
+  /// One model pair per application, fitted on the set-up pool.
+  std::vector<model::ModelPair> fit_models(model::ModelKind kind) const;
+  std::vector<monitor::AppProfile> app_profiles() const;
+
   TraconConfig cfg_;
   model::Profiler profiler_;
   std::vector<virt::AppBehavior> apps_;

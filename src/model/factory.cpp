@@ -33,7 +33,7 @@ std::string model_kind_metric_family(ModelKind kind) {
 std::unique_ptr<InterferenceModel> train_model(ModelKind kind,
                                                const TrainingSet& data,
                                                Response response) {
-  TRACON_PROF_SCOPE("model.train");
+  TRACON_PROF_SCOPE("model.fit");
   switch (kind) {
     case ModelKind::kWmm:
       return std::make_unique<WmmModel>(data, response);

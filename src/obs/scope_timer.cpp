@@ -31,7 +31,11 @@ ScopeStats& ProfRegistry::scope(const std::string& name) {
 }
 
 void ProfRegistry::reset() {
-  for (auto& [name, stats] : scopes_) stats = ScopeStats{};
+  for (auto& [name, stats] : scopes_) {
+    stats.calls.store(0, std::memory_order_relaxed);
+    stats.total_ns.store(0, std::memory_order_relaxed);
+    stats.max_ns.store(0, std::memory_order_relaxed);
+  }
 }
 
 void ProfRegistry::write_text(std::ostream& os) const {
@@ -39,7 +43,8 @@ void ProfRegistry::write_text(std::ostream& os) const {
   rows.reserve(scopes_.size());
   for (const auto& entry : scopes_) rows.push_back(&entry);
   std::stable_sort(rows.begin(), rows.end(), [](const auto* a, const auto* b) {
-    return a->second.total_ns > b->second.total_ns;
+    return a->second.total_ns.load(std::memory_order_relaxed) >
+           b->second.total_ns.load(std::memory_order_relaxed);
   });
   char line[160];
   std::snprintf(line, sizeof line, "%-36s %9s %12s %12s %12s\n", "scope",
@@ -47,15 +52,17 @@ void ProfRegistry::write_text(std::ostream& os) const {
   os << line;
   for (const auto* row : rows) {
     const ScopeStats& s = row->second;
-    double total_ms = static_cast<double>(s.total_ns) / 1e6;
-    double avg_us = s.calls > 0 ? static_cast<double>(s.total_ns) /
-                                      static_cast<double>(s.calls) / 1e3
-                                : 0.0;
-    double max_us = static_cast<double>(s.max_ns) / 1e3;
+    const std::uint64_t calls = s.calls.load(std::memory_order_relaxed);
+    const std::uint64_t total_ns = s.total_ns.load(std::memory_order_relaxed);
+    double total_ms = static_cast<double>(total_ns) / 1e6;
+    double avg_us = calls > 0 ? static_cast<double>(total_ns) /
+                                    static_cast<double>(calls) / 1e3
+                              : 0.0;
+    double max_us =
+        static_cast<double>(s.max_ns.load(std::memory_order_relaxed)) / 1e3;
     std::snprintf(line, sizeof line, "%-36s %9llu %12.3f %12.3f %12.3f\n",
-                  row->first.c_str(),
-                  static_cast<unsigned long long>(s.calls), total_ms, avg_us,
-                  max_us);
+                  row->first.c_str(), static_cast<unsigned long long>(calls),
+                  total_ms, avg_us, max_us);
     os << line;
   }
 }
@@ -73,10 +80,14 @@ std::uint64_t ScopeTimer::now_ns() {
 }
 
 void ScopeTimer::stop() {
-  std::uint64_t elapsed = now_ns() - start_ns_;
-  ++stats_->calls;
-  stats_->total_ns += elapsed;
-  if (elapsed > stats_->max_ns) stats_->max_ns = elapsed;
+  const std::uint64_t elapsed = now_ns() - start_ns_;
+  stats_->calls.fetch_add(1, std::memory_order_relaxed);
+  stats_->total_ns.fetch_add(elapsed, std::memory_order_relaxed);
+  std::uint64_t seen = stats_->max_ns.load(std::memory_order_relaxed);
+  while (elapsed > seen &&
+         !stats_->max_ns.compare_exchange_weak(seen, elapsed,
+                                               std::memory_order_relaxed)) {
+  }
 }
 
 }  // namespace tracon::obs

@@ -20,18 +20,19 @@
 
 namespace tracon::obs {
 
+/// One scope's accumulators. Relaxed atomics: worker threads time the
+/// same scope concurrently (set-up and shard workers), and only the
+/// totals are read, after the pool has joined.
 struct ScopeStats {
-  std::uint64_t calls = 0;
-  std::uint64_t total_ns = 0;
-  std::uint64_t max_ns = 0;
+  std::atomic<std::uint64_t> calls{0};
+  std::atomic<std::uint64_t> total_ns{0};
+  std::atomic<std::uint64_t> max_ns{0};
 };
 
 /// Process-wide profiling scope table. Scopes register on first use
 /// (cheap, once per call site via a function-local static) and
-/// accumulate only while enabled. Registration is mutex-guarded so
-/// first-use from sharded worker threads is safe; ScopeStats
-/// accumulation itself is NOT synchronized, which is why the CLI
-/// rejects --prof combined with --threads > 1.
+/// accumulate only while enabled. Registration is mutex-guarded and
+/// accumulation atomic, so --prof works under any --threads.
 class ProfRegistry {
  public:
   static ProfRegistry& global();

@@ -17,6 +17,8 @@ PerfTable PerfTable::build(model::Profiler& profiler,
   t.iops_ = stats::Matrix(n, n + 1);
   t.names_.reserve(n);
   t.profiles_.reserve(n);
+  const std::vector<virt::PairMeasurement> grid =
+      profiler.measure_grid(apps, apps);
   for (std::size_t a = 0; a < n; ++a) {
     t.names_.push_back(apps[a].name);
     t.profiles_.push_back(profiler.solo_profile(apps[a]));
@@ -24,9 +26,8 @@ PerfTable PerfTable::build(model::Profiler& profiler,
     t.runtime_(a, n) = solo.runtime_s;
     t.iops_(a, n) = solo.iops;
     for (std::size_t b = 0; b < n; ++b) {
-      virt::PairMeasurement pm = profiler.measure(apps[a], apps[b]);
-      t.runtime_(a, b) = pm.runtime_s;
-      t.iops_(a, b) = pm.iops;
+      t.runtime_(a, b) = grid[a * n + b].runtime_s;
+      t.iops_(a, b) = grid[a * n + b].iops;
     }
   }
   return t;

@@ -22,7 +22,8 @@ namespace tracon::sim {
 
 class PerfTable {
  public:
-  /// Measures all pairs of `apps` (and each solo) via the profiler.
+  /// Measures all pairs of `apps` (and each solo) via the profiler, on
+  /// its worker pool.
   static PerfTable build(model::Profiler& profiler,
                          const std::vector<virt::AppBehavior>& apps);
 

@@ -10,17 +10,26 @@ namespace tracon::virt {
 
 std::vector<double> waterfill(const std::vector<double>& demands,
                               double capacity) {
+  std::vector<double> alloc(demands.size(), 0.0);
+  std::vector<std::size_t> order;
+  waterfill(demands, capacity, alloc, order);
+  return alloc;
+}
+
+void waterfill(std::span<const double> demands, double capacity,
+               std::span<double> alloc, std::vector<std::size_t>& order) {
   TRACON_REQUIRE(capacity >= 0.0, "waterfill capacity must be non-negative");
   for (double d : demands)
     TRACON_REQUIRE(d >= 0.0, "waterfill demands must be non-negative");
+  TRACON_REQUIRE(alloc.size() == demands.size(),
+                 "waterfill allocation size must match demands");
 
   const std::size_t n = demands.size();
-  std::vector<double> alloc(n, 0.0);
-  if (n == 0) return alloc;
+  if (n == 0) return;
 
   // Serve consumers in ascending demand; each round grants the smaller
   // of the consumer's demand and an equal split of what remains.
-  std::vector<std::size_t> order(n);
+  order.resize(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return demands[a] < demands[b];
@@ -48,15 +57,24 @@ std::vector<double> waterfill(const std::vector<double>& demands,
     TRACON_DCHECK(granted_total <= capacity + 1e-9 * std::max(1.0, capacity),
                   "waterfill grants exceed capacity");
   }
-  return alloc;
 }
 
 HostAllocation solve_speeds(const HostConfig& cfg,
                             const std::vector<VmDemand>& demands) {
+  SolverScratch scratch;
   HostAllocation result;
+  solve_speeds(cfg, demands, scratch, result);
+  return result;
+}
+
+void solve_speeds(const HostConfig& cfg, std::span<const VmDemand> demands,
+                  SolverScratch& scratch, HostAllocation& result) {
   const std::size_t n = demands.size();
-  result.vms.resize(n);
-  if (n == 0) return result;
+  result.vms.assign(n, VmAllocation{});
+  result.dom0_cpu_total = 0.0;
+  result.disk_utilization = 0.0;
+  result.iterations = 0;
+  if (n == 0) return;
 
   for (const VmDemand& d : demands) {
     TRACON_REQUIRE(
@@ -70,7 +88,8 @@ HostAllocation solve_speeds(const HostConfig& cfg,
   const double cores = static_cast<double>(cfg.num_cores);
   const double kDiskMsPerSec = 1000.0;
   // Dom0 CPU cores consumed per unit I/O rate, at full speed, per VM.
-  std::vector<double> dom0_rate(n, 0.0);
+  std::vector<double>& dom0_rate = scratch.dom0_rate;
+  dom0_rate.assign(n, 0.0);
   for (std::size_t v = 0; v < n; ++v) {
     double total = demands[v].total_iops();
     if (total <= 0.0) continue;
@@ -82,15 +101,33 @@ HostAllocation solve_speeds(const HostConfig& cfg,
 
   // CPU demand from other domains, per VM (constant across iterations):
   // drives the Dom0 scheduling-latency component of the disk cost.
-  std::vector<double> cpu_other(n, 0.0);
+  std::vector<double>& cpu_other = scratch.cpu_other;
+  cpu_other.assign(n, 0.0);
   double cpu_total = 0.0;
   for (const VmDemand& d : demands) cpu_total += d.cpu;
   for (std::size_t v = 0; v < n; ++v) cpu_other[v] = cpu_total - demands[v].cpu;
 
-  std::vector<double> io_speed(n, 1.0);
-  std::vector<double> cpu_speed(n, 1.0);
-  std::vector<double> cost_ms(n, 0.0);
-  std::vector<double> saturation(n, 0.0);
+  std::vector<double>& io_speed = scratch.io_speed;
+  std::vector<double>& cpu_speed = scratch.cpu_speed;
+  std::vector<double>& cost_ms = scratch.cost_ms;
+  std::vector<double>& saturation = scratch.saturation;
+  io_speed.assign(n, 1.0);
+  cpu_speed.assign(n, 1.0);
+  cost_ms.assign(n, 0.0);
+  saturation.assign(n, 0.0);
+  // Per-iteration vectors: sized once here, refilled in the loop.
+  std::vector<double>& disk_demand = scratch.disk_demand;
+  std::vector<double>& disk_alloc = scratch.disk_alloc;
+  std::vector<double>& cap_disk = scratch.cap_disk;
+  std::vector<double>& cpu_demand = scratch.cpu_demand;
+  std::vector<double>& cpu_alloc = scratch.cpu_alloc;
+  std::vector<double>& new_cpu_speed = scratch.new_cpu_speed;
+  disk_demand.resize(n);
+  disk_alloc.resize(n);
+  cap_disk.resize(n);
+  cpu_demand.resize(n + 1);
+  cpu_alloc.resize(n + 1);
+  new_cpu_speed.resize(n);
   double dom0_speed = 1.0;
 
   // Initialize per-request costs and saturations from solo behaviour.
@@ -140,16 +177,15 @@ HostAllocation solve_speeds(const HostConfig& cfg,
 
     // Disk time demanded, throttled by what CPU and Dom0 currently let
     // the stream issue.
-    std::vector<double> disk_demand(n, 0.0);
     for (std::size_t v = 0; v < n; ++v) {
       double issue = std::min({1.0, cpu_speed[v], dom0_speed});
       disk_demand[v] = demands[v].total_iops() * cost_ms[v] * issue;
     }
-    std::vector<double> disk_alloc = waterfill(disk_demand, kDiskMsPerSec);
+    waterfill(disk_demand, kDiskMsPerSec, disk_alloc, scratch.order);
     double disk_leftover = kDiskMsPerSec;
     for (double a : disk_alloc) disk_leftover -= a;
 
-    std::vector<double> cap_disk(n, 1.0);
+    std::fill(cap_disk.begin(), cap_disk.end(), 1.0);
     for (std::size_t v = 0; v < n; ++v) {
       double full = demands[v].total_iops() * cost_ms[v];
       if (full > 1e-12)
@@ -162,14 +198,13 @@ HostAllocation solve_speeds(const HostConfig& cfg,
     double dom0_demand = 0.0;
     for (std::size_t v = 0; v < n; ++v)
       dom0_demand += dom0_rate[v] * io_speed[v];
-    std::vector<double> cpu_demand(n + 1, 0.0);
     for (std::size_t v = 0; v < n; ++v) cpu_demand[v] = demands[v].cpu;
     cpu_demand[n] = dom0_demand;
-    std::vector<double> cpu_alloc = waterfill(cpu_demand, cores);
+    waterfill(cpu_demand, cores, cpu_alloc, scratch.order);
     double cpu_leftover = cores;
     for (double a : cpu_alloc) cpu_leftover -= a;
 
-    std::vector<double> new_cpu_speed(n, 1.0);
+    std::fill(new_cpu_speed.begin(), new_cpu_speed.end(), 1.0);
     for (std::size_t v = 0; v < n; ++v) {
       if (demands[v].cpu > 1e-12)
         new_cpu_speed[v] =
@@ -239,7 +274,6 @@ HostAllocation solve_speeds(const HostConfig& cfg,
     TRACON_DCHECK(cpu_granted + result.dom0_cpu_total <= cores + 1e-6,
                   "CPU credits exceed physical cores");
   }
-  return result;
 }
 
 }  // namespace tracon::virt

@@ -8,8 +8,12 @@
 // and disk allocations (through Dom0 I/O handling cost and the
 // interleaving-dependent per-request disk cost) via damped fixed-point
 // iteration and returns the achievable speed of each VM's application.
+// Both have an in-place form over caller-owned scratch, so a caller that
+// solves once per simulation step allocates nothing after the first.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "virt/host_config.hpp"
@@ -22,6 +26,11 @@ namespace tracon::virt {
 /// among unsatisfied consumers.
 std::vector<double> waterfill(const std::vector<double>& demands,
                               double capacity);
+
+/// In-place waterfill: writes the allocation into `alloc` (same size as
+/// `demands`); `order` is scratch for the service order.
+void waterfill(std::span<const double> demands, double capacity,
+               std::span<double> alloc, std::vector<std::size_t>& order);
 
 /// Instantaneous resource demand of one VM's application at full speed.
 /// CPU demand is presented unconditionally (the paper's load generator
@@ -55,9 +64,23 @@ struct HostAllocation {
   int iterations = 0;            ///< fixed-point iterations used
 };
 
+/// Per-VM working vectors of solve_speeds. They only grow, so reusing
+/// one across calls makes every solve after the first allocation-free.
+struct SolverScratch {
+  std::vector<double> dom0_rate, cpu_other, io_speed, cpu_speed, cost_ms,
+      saturation, disk_demand, disk_alloc, cap_disk, cpu_demand, cpu_alloc,
+      new_cpu_speed;
+  std::vector<std::size_t> order;
+};
+
 /// Computes achievable speeds for the given concurrent demands on a
 /// host. Deterministic. Demands may be empty (returns empty allocation).
 HostAllocation solve_speeds(const HostConfig& cfg,
                             const std::vector<VmDemand>& demands);
+
+/// In-place solve_speeds: overwrites `out`, reusing its capacity and
+/// the scratch vectors. Bit-identical to the returning form.
+void solve_speeds(const HostConfig& cfg, std::span<const VmDemand> demands,
+                  SolverScratch& scratch, HostAllocation& out);
 
 }  // namespace tracon::virt

@@ -85,11 +85,19 @@ RunResult HostSimulator::run(const std::vector<std::optional<VmWorkload>>& vms,
   double now = 0.0;
   double next_tick = cfg_.monitor_period_s;
 
+  // Per-step working set, sized once: the step loop allocates nothing.
+  std::vector<VmDemand> demands;
+  std::vector<std::size_t> demand_vm;  // demand index -> VM index
+  demands.reserve(n);
+  demand_vm.reserve(n);
+  SolverScratch scratch;
+  HostAllocation alloc;
+  alloc.vms.reserve(n);
+
   while (now < opts.max_time_s - kEps) {
     // Assemble instantaneous demands for active VMs.
-    std::vector<VmDemand> demands;
-    std::vector<std::size_t> demand_vm;  // demand index -> VM index
-    demands.reserve(n);
+    demands.clear();
+    demand_vm.clear();
     for (std::size_t v = 0; v < n; ++v) {
       if (!state[v].active()) continue;
       const AppBehavior& app = *state[v].app;
@@ -105,7 +113,7 @@ RunResult HostSimulator::run(const std::vector<std::optional<VmWorkload>>& vms,
     }
     if (demands.empty()) break;  // nothing left to simulate
 
-    HostAllocation alloc = solve_speeds(cfg_, demands);
+    solve_speeds(cfg_, demands, scratch, alloc);
     if constexpr (kParanoidChecksEnabled) {
       // Credit conservation at every scheduler decision: guest CPU plus
       // Dom0 I/O handling fits in the host's cores, and the disk is

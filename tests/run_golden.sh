@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # Whole-run golden: two `tracon dynamic` runs with all nine exports,
-# compared by SHA-256 against recorded digests, so a refactor of the
-# engine, the shard merge or a writer that moves any output byte fails
-# here.
+# and the set-up outputs, compared by SHA-256 against recorded digests,
+# so a refactor of the engine, the shard merge, a writer or set-up that
+# moves any output byte fails here.
 #
 # Usage: run_golden.sh TRACON_BINARY
 #
 #   flat    the one-shard run: 16 machines, MIBS, --rebalance, a
 #           300 s snapshot series;
 #   sharded 512 machines in 4 shards on 2 threads, --rebalance: the
-#           shard merge of every record store and of the series.
+#           shard merge of every record store and of the series;
+#   setup   `tracon profile --out` (the perf table as 17-digit CSV) and
+#           `tracon predict` stdout, with set-up on every core and on
+#           one worker (--threads 1).
 #
 # The `build` (git describe) and `threads` fingerprint values are
 # masked; every other byte of every export and of the summary is
@@ -51,10 +54,18 @@ for run in flat sharded; do
         "$run/$f" > "masked/$run/$f"
   done
 done
+mkdir masked/setup
+for t in all 1; do
+  threads=(); [ "$t" = all ] || threads=(--threads "$t")
+  "$TRACON" profile --seed 42 "${threads[@]}" --out "masked/setup/profile_$t.csv" \
+      > /dev/null
+  "$TRACON" predict --seed 42 --fg video --bg blastn "${threads[@]}" \
+      > "masked/setup/predict_$t.txt"
+done
 cd masked
 
 if [ "${RECORD:-0}" = 1 ]; then
-  sha256sum flat/* sharded/*
+  sha256sum flat/* sharded/* setup/*
   exit 0
 fi
 
@@ -79,6 +90,10 @@ dc7dccfdb118482de3d70bee58848f796911c1cf8af497b914532e2f662f5df4  sharded/metric
 fff2e933433dc30365eabbd050e346082eb1dab18535ab9b5136fd8fdc8480cb  sharded/spans.jsonl
 66370178ca6223e1066d04432b7236ebae50b7effb5afbbd82cc69cb20256e5e  sharded/summary.txt
 3d3145d4559bd549c2169402f7c8b811e97607b0848cb6e86b60e5b0acc46466  sharded/trace.jsonl
+8dd7235cbd58aa19c2c4325e7a4c85742a2814c1f2414ebc8fb0a95fdabde8c0  setup/predict_1.txt
+8dd7235cbd58aa19c2c4325e7a4c85742a2814c1f2414ebc8fb0a95fdabde8c0  setup/predict_all.txt
+ef8a68da84c89359a5bea0438f7b94fddfa985cbf4ea3f1ff443acf9154518ce  setup/profile_1.csv
+ef8a68da84c89359a5bea0438f7b94fddfa985cbf4ea3f1ff443acf9154518ce  setup/profile_all.csv
 DIGESTS
   echo "FAIL: run output changed"
   exit 1

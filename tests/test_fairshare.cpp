@@ -178,6 +178,48 @@ TEST(SolveSpeeds, SpeedsAreClampedAndFinite) {
   EXPECT_LE(a.disk_utilization, 1.0);
 }
 
+TEST(SolveSpeeds, ReusedScratchMatchesFreshSolve) {
+  // One scratch and one output across demand sets that grow and shrink:
+  // nothing from an earlier solve may leak into a later one.
+  HostConfig cfg = HostConfig::paper_testbed();
+  const std::vector<std::vector<VmDemand>> cases = {
+      {io_app(0.45, 374, 125, 64, 0.95), io_app(0.42, 210, 8, 128, 0.90)},
+      {io_app(0.9, 1000, 800, 256, 0.2), cpu_app(0.95),
+       io_app(0.15, 800, 0, 64, 0.95)},
+      {cpu_app(0.3)},
+      {},
+      {io_app(0.4, 200, 100, 64, 0.8), io_app(0.5, 100, 300, 32, 0.4)},
+  };
+  SolverScratch scratch;
+  HostAllocation reused;
+  for (const auto& demands : cases) {
+    const HostAllocation fresh = solve_speeds(cfg, demands);
+    solve_speeds(cfg, demands, scratch, reused);
+    ASSERT_EQ(reused.vms.size(), fresh.vms.size());
+    EXPECT_EQ(reused.iterations, fresh.iterations);
+    EXPECT_EQ(reused.dom0_cpu_total, fresh.dom0_cpu_total);
+    EXPECT_EQ(reused.disk_utilization, fresh.disk_utilization);
+    for (std::size_t v = 0; v < fresh.vms.size(); ++v) {
+      EXPECT_EQ(reused.vms[v].speed, fresh.vms[v].speed);
+      EXPECT_EQ(reused.vms[v].io_speed, fresh.vms[v].io_speed);
+      EXPECT_EQ(reused.vms[v].cpu_used, fresh.vms[v].cpu_used);
+      EXPECT_EQ(reused.vms[v].dom0_cpu, fresh.vms[v].dom0_cpu);
+      EXPECT_EQ(reused.vms[v].disk_ms, fresh.vms[v].disk_ms);
+    }
+  }
+}
+
+TEST(Waterfill, InPlaceMatchesReturningForm) {
+  const std::vector<double> demands = {3.0, 1.0, 3.0, 0.5, 7.0};
+  std::vector<double> alloc(demands.size(), -1.0);
+  std::vector<std::size_t> order = {9, 9};  // stale scratch is overwritten
+  waterfill(demands, 8.0, alloc, order);
+  EXPECT_EQ(alloc, waterfill(demands, 8.0));
+  std::vector<double> short_alloc(2);
+  EXPECT_THROW(waterfill(demands, 8.0, short_alloc, order),
+               std::invalid_argument);
+}
+
 TEST(SolveSpeeds, InvalidDemandThrows) {
   HostConfig cfg = HostConfig::paper_testbed();
   VmDemand bad;

@@ -69,6 +69,57 @@ TEST(Profiler, MeasurementsAreDeterministic) {
   EXPECT_EQ(a.measure(fg, bg).runtime_s, b.measure(fg, bg).runtime_s);
 }
 
+TEST(Profiler, GridMatchesSerialMeasurementsAtAnyWorkerCount) {
+  workload::SyntheticConfig cfg;
+  cfg.levels = 2;  // includes the idle background synth-c0r0w0
+  auto backgrounds = workload::synthetic_workloads(cfg);
+  std::vector<virt::AppBehavior> targets = {
+      *workload::benchmark_by_name("web"),
+      *workload::benchmark_by_name("dedup")};
+  Profiler serial(virt::HostSimulator(virt::HostConfig::paper_testbed()), 42,
+                  1);
+  Profiler pooled(virt::HostSimulator(virt::HostConfig::paper_testbed()), 42,
+                  3);
+  EXPECT_EQ(pooled.threads(), 3u);
+  auto grid = pooled.measure_grid(targets, backgrounds);
+  ASSERT_EQ(grid.size(), targets.size() * backgrounds.size());
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    for (std::size_t b = 0; b < backgrounds.size(); ++b) {
+      virt::PairMeasurement pm = serial.measure(targets[t], backgrounds[b]);
+      const virt::PairMeasurement& g = grid[t * backgrounds.size() + b];
+      EXPECT_EQ(g.runtime_s, pm.runtime_s);
+      EXPECT_EQ(g.iops, pm.iops);
+      EXPECT_EQ(g.reads_per_s, pm.reads_per_s);
+      EXPECT_EQ(g.writes_per_s, pm.writes_per_s);
+    }
+  }
+  auto sets = pooled.profile_against(targets, backgrounds);
+  ASSERT_EQ(sets.size(), targets.size());
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    TrainingSet one = serial.profile_against(targets[t], backgrounds);
+    ASSERT_EQ(sets[t].size(), one.size());
+    for (std::size_t r = 0; r < one.size(); ++r) {
+      EXPECT_EQ(sets[t].observations()[r].features,
+                one.observations()[r].features);
+      EXPECT_EQ(sets[t].observations()[r].runtime,
+                one.observations()[r].runtime);
+      EXPECT_EQ(sets[t].observations()[r].iops, one.observations()[r].iops);
+    }
+  }
+}
+
+TEST(Profiler, FirstAppOfANameWinsTheSoloCache) {
+  Profiler prof = make_profiler();
+  virt::AppBehavior email = *workload::benchmark_by_name("email");
+  virt::AppBehavior impostor = *workload::benchmark_by_name("video");
+  impostor.name = email.name;
+  std::vector<virt::AppBehavior> apps = {email, impostor};
+  prof.profile_against(apps, std::span<const virt::AppBehavior>{});
+  Profiler fresh = make_profiler();
+  EXPECT_EQ(prof.solo_stats(impostor).runtime_s,
+            fresh.solo_stats(email).runtime_s);
+}
+
 TEST(Profiler, DifferentSeedsDifferentNoise) {
   Profiler a(virt::HostSimulator(virt::HostConfig::paper_testbed()), 1);
   Profiler b(virt::HostSimulator(virt::HostConfig::paper_testbed()), 2);

@@ -72,8 +72,10 @@
 //                                auto, one per 128 machines, clamped to
 //                                [1, 64]); part of the simulated
 //                                system's shape
-//   --prof requires --threads 1; --confidence-weighting, record and
-//   replay require a run that resolves to one shard.
+//   --confidence-weighting, record and replay require a run that
+//   resolves to one shard. Set-up (profiling and model training) runs
+//   on --threads workers too, or on every core when it is not given;
+//   its results are the same for every count.
 //   --candidate-index            place via the clustered candidate
 //                                shortlist index with per-scheduler
 //                                prediction memoization. Placements are
@@ -138,6 +140,7 @@
 //   tracon static --machines 16 --mix medium --objective io
 //   tracon dynamic --machines 64 --lambda 80 --hours 10
 //          [continued] --scheduler mibs --queue 8 --mix heavy
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -358,6 +361,10 @@ core::Tracon make_system(const ArgParser& args, bool train) {
   core::TraconConfig cfg;
   cfg.host = host_from(args);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  // Set-up runs on --threads workers when given (0 = all cores), else
+  // on every core; it is CPU-bound, so workers beyond the cores would
+  // only add threads. Its results never depend on the count.
+  cfg.threads = std::min(args.get_count("threads", 0), hardware_threads());
   core::Tracon sys(cfg);
   sys.register_applications(workload::paper_benchmarks());
   if (train) sys.train(model_from(args));
@@ -542,9 +549,6 @@ sim::SchedulerFactory configure_run(const ArgParser& args,
   TRACON_REQUIRE(!stored || sim::effective_shards(cfg) == 1,
                  "record and replay feed one manager queue from their "
                  "arrival list: the run needs one shard");
-  TRACON_REQUIRE(!args.has("prof") || cfg.threads == 1,
-                 "--prof requires --threads 1: the profiling accumulators "
-                 "are not synchronized across shard workers");
   const bool want_confidence = args.has("confidence-weighting");
   if (want_confidence) {
     TRACON_REQUIRE(sim::effective_shards(cfg) == 1,
