@@ -10,7 +10,10 @@ namespace tracon::migrate {
 
 Rebalancer::Rebalancer(const sched::Predictor& predictor,
                        const RebalanceConfig& cfg)
-    : predictor_(predictor), cfg_(cfg), cost_(cfg.cost) {
+    : predictor_(predictor),
+      cfg_(cfg),
+      cost_(cfg.cost),
+      mispredicts_(cfg.top_mispredict_rows) {
   TRACON_REQUIRE(cfg_.interval_s > 0.0,
                  "rebalance interval must be positive");
   TRACON_REQUIRE(cfg_.max_moves_per_round >= 1,
@@ -23,8 +26,12 @@ Rebalancer::Rebalancer(const sched::Predictor& predictor,
 }
 
 void Rebalancer::observe_completion(
-    std::size_t app, const std::optional<std::size_t>& neighbour,
-    double runtime_s, double solo_runtime_s) {
+    std::uint64_t task, std::size_t app,
+    const std::optional<std::size_t>& neighbour, double runtime_s,
+    double solo_runtime_s, std::optional<double> predicted_runtime_s) {
+  if (predicted_runtime_s.has_value())
+    mispredicts_.observe(task, app, neighbour, *predicted_runtime_s,
+                         runtime_s, solo_runtime_s);
   if (solo_runtime_s <= 0.0) return;
   auto [it, inserted] = cells_.try_emplace(PairKey{app, neighbour},
                                            cfg_.signal_window);
@@ -44,8 +51,7 @@ double Rebalancer::cell_slowdown(
 
 std::vector<MigrationPlan> Rebalancer::plan(
     double now, const std::vector<RunningTaskView>& running,
-    const sched::ClusterCounts& counts,
-    const obs::AttributionReport* attribution) const {
+    const sched::ClusterCounts& counts) const {
   (void)now;  // plans depend on state, not on the clock
   std::vector<MigrationPlan> plans;
   if (running.empty()) return plans;
@@ -58,21 +64,15 @@ std::vector<MigrationPlan> Rebalancer::plan(
     double slowdown = 1.0 + ring.mean_abs_error();
     if (slowdown > cfg_.slowdown_threshold) flagged[key] = slowdown;
   }
-  if (attribution != nullptr) {
-    for (const auto& [key, cell] : attribution->pairs) {
-      if (cell.count < cfg_.min_cell_samples) continue;
-      if (cell.mean_slowdown() <= cfg_.slowdown_threshold) continue;
-      double& badness = flagged[key];
-      badness = std::max(badness, cell.mean_slowdown());
-    }
-    const std::size_t top =
-        std::min(cfg_.top_mispredict_rows, attribution->mispredict_order.size());
-    for (std::size_t i = 0; i < top; ++i) {
-      const obs::AttributionRow& row =
-          attribution->rows[attribution->mispredict_order[i]];
-      double& badness = flagged[PairKey{row.app, row.neighbour}];
-      badness = std::max(badness, row.realized_slowdown);
-    }
+  for (const auto& [key, cell] : mispredicts_.pairs()) {
+    if (cell.count < cfg_.min_cell_samples) continue;
+    if (cell.mean_slowdown() <= cfg_.slowdown_threshold) continue;
+    double& badness = flagged[key];
+    badness = std::max(badness, cell.mean_slowdown());
+  }
+  for (const MispredictRow& row : mispredicts_.rows()) {
+    double& badness = flagged[PairKey{row.app, row.neighbour}];
+    badness = std::max(badness, row.realized_slowdown);
   }
   if (flagged.empty()) return plans;
 

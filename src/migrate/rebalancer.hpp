@@ -9,9 +9,10 @@
 //     obs::WindowedAccuracy ring over recently realized slowdowns,
 //     fed by the completion path, flags cells whose rolling mean
 //     slowdown exceeds a threshold;
-//   - the worst-mispredict ranking and pair heatmap of an
-//     obs::AttributionReport built from the run's own decision log
-//     (obs::attribute), when decision recording is on —
+//   - the worst-mispredict rows and pair heatmap of the rebalancer's
+//     own MispredictTracker, which joins each completion to its
+//     placement decision's predicted runtime as obs::attribute would
+//     join a decision log — with or without one being recorded —
 // and moves a running task only when the predicted remaining time at
 // the best alternative slot plus the full migration cost
 // (virt::MigrationCostModel) beats staying put by at least
@@ -33,8 +34,8 @@
 #include <utility>
 #include <vector>
 
+#include "migrate/mispredict_tracker.hpp"
 #include "obs/accuracy.hpp"
-#include "obs/attribution.hpp"
 #include "sched/cluster_counts.hpp"
 #include "sched/predictor.hpp"
 #include "virt/migration.hpp"
@@ -87,8 +88,8 @@ struct RebalanceConfig {
   std::size_t min_cell_samples = 4;
   /// Capacity of each per-pair slowdown ring.
   std::size_t signal_window = 32;
-  /// How many worst-mispredict rows of the attribution report flag
-  /// their (app, co-runner) cell as a migration source.
+  /// How many worst-mispredict rows flag their (app, co-runner) cell
+  /// as a migration source.
   std::size_t top_mispredict_rows = 4;
   virt::MigrationCostConfig cost;
 };
@@ -102,11 +103,15 @@ class Rebalancer {
   const RebalanceConfig& config() const { return cfg_; }
   const virt::MigrationCostModel& cost_model() const { return cost_; }
 
-  /// Completion-path feed: realized slowdown of one finished task,
-  /// keyed by its placement-time (app, co-runner) cell.
-  void observe_completion(std::size_t app,
+  /// Completion-path feed, once per finished task: its realized
+  /// runtime, keyed by the (app, co-runner) cell of its last placement.
+  /// `predicted_runtime_s` is the task's placement-decision prediction
+  /// (sched::Placement::predicted_runtime_s; empty for FIFO), which
+  /// joins the completion to the mispredict signal.
+  void observe_completion(std::uint64_t task, std::size_t app,
                           const std::optional<std::size_t>& neighbour,
-                          double runtime_s, double solo_runtime_s);
+                          double runtime_s, double solo_runtime_s,
+                          std::optional<double> predicted_runtime_s);
 
   /// Rolling mean realized slowdown of a pair cell; 1.0 when the cell
   /// has no samples yet (no evidence of degradation).
@@ -115,13 +120,11 @@ class Rebalancer {
 
   /// Plans this round's migrations. `running` must be in a
   /// deterministic order (the simulator walks machines ascending,
-  /// slot 0 before slot 1); `counts` is the live free-slot view;
-  /// `attribution` may be null when decision recording is off.
+  /// slot 0 before slot 1); `counts` is the live free-slot view.
   /// Pure: does not mutate the rebalancer.
-  std::vector<MigrationPlan> plan(
-      double now, const std::vector<RunningTaskView>& running,
-      const sched::ClusterCounts& counts,
-      const obs::AttributionReport* attribution) const;
+  std::vector<MigrationPlan> plan(double now,
+                                  const std::vector<RunningTaskView>& running,
+                                  const sched::ClusterCounts& counts) const;
 
   std::uint64_t completions_observed() const { return observed_; }
 
@@ -135,6 +138,7 @@ class Rebalancer {
   /// ring records |relative_error(runtime, solo)|, which for the
   /// slowed-down case equals slowdown - 1.
   std::map<PairKey, obs::WindowedAccuracy> cells_;
+  MispredictTracker mispredicts_;
   std::uint64_t observed_ = 0;
 };
 

@@ -57,10 +57,8 @@ AttributionReport attribute(std::span<const DecisionEvent> events) {
     total_abs_runtime_error += std::abs(row.runtime_error);
     total_abs_iops_error += std::abs(row.iops_error);
 
-    PairCell& cell = report.pairs[{row.app, row.neighbour}];
-    ++cell.count;
-    cell.total_slowdown += row.realized_slowdown;
-    cell.total_abs_runtime_error += std::abs(row.runtime_error);
+    report.pairs[{row.app, row.neighbour}].add(row.realized_slowdown,
+                                               std::abs(row.runtime_error));
 
     ++report.joined;
     report.rows.push_back(std::move(row));

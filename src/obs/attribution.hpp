@@ -52,6 +52,14 @@ struct PairCell {
   double total_slowdown = 0.0;
   double total_abs_runtime_error = 0.0;
 
+  /// Adds one joined completion. Callers that must agree bit for bit
+  /// (attribute and migrate::MispredictTracker) add in completion order.
+  void add(double slowdown, double abs_runtime_error) {
+    ++count;
+    total_slowdown += slowdown;
+    total_abs_runtime_error += abs_runtime_error;
+  }
+
   double mean_slowdown() const {
     return count == 0 ? 0.0 : total_slowdown / static_cast<double>(count);
   }

@@ -262,15 +262,19 @@ void DecisionLog::record_decision(DecisionEvent event) {
   TRACON_REQUIRE(event.chosen < event.candidates.size(),
                  "decision's chosen index must address a scanned candidate");
   event.kind = DecisionEvent::Kind::kDecision;
-  decision_index_[event.task] = events_.size();
+  const auto slot = static_cast<std::size_t>(event.task);
+  if (slot >= decision_index_.size())
+    decision_index_.resize(slot + 1, kNoDecision);
+  decision_index_[slot] = events_.size();
   events_.push_back(std::move(event));
 }
 
 void DecisionLog::bind_machine(std::uint64_t task, std::size_t machine) {
   if (!enabled_) return;
-  auto it = decision_index_.find(task);
-  if (it == decision_index_.end()) return;
-  events_[it->second].machine = machine;
+  if (task >= decision_index_.size()) return;
+  const std::size_t pos = decision_index_[static_cast<std::size_t>(task)];
+  if (pos == kNoDecision) return;
+  events_[pos].machine = machine;
 }
 
 void DecisionLog::record_migration(DecisionEvent event) {

@@ -163,9 +163,14 @@ class DecisionLog {
   std::string str() const;
 
  private:
+  static constexpr std::size_t kNoDecision = static_cast<std::size_t>(-1);
+
   bool enabled_ = false;
   std::vector<DecisionEvent> events_;
-  std::map<std::uint64_t, std::size_t> decision_index_;
+  /// Position of each task's last decision record, indexed by task id
+  /// (kNoDecision for none). Task ids are arrival indices, dense from
+  /// 0, so a vector replaces a per-decision tree node.
+  std::vector<std::size_t> decision_index_;
   std::map<std::string, std::string> fingerprint_;
 };
 

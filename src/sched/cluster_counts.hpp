@@ -22,6 +22,11 @@ namespace tracon::sched {
 struct Placement {
   std::size_t queue_pos = 0;                ///< index into the queue snapshot
   std::optional<std::size_t> neighbour;     ///< app class or empty machine
+  /// The scheduler's own predicted runtime for this slot — the value a
+  /// decision record carries as `predicted_runtime_s`. Set by the
+  /// schedulers that log decisions (MIOS, MIBS, MIX); FIFO predicts
+  /// nothing and leaves it empty.
+  std::optional<double> predicted_runtime_s;
 };
 
 class ClusterCounts {

@@ -99,10 +99,12 @@ void record_decisions(obs::Telemetry* telemetry,
     event.weights = weights;
 
     std::size_t chosen = slots.size();
+    event.candidates.reserve(slots.size());
     for (std::size_t i = 0; i < slots.size(); ++i) {
       obs::DecisionCandidate candidate;
       candidate.neighbour = slots[i];
       candidate.score = scores[i];
+      candidate.by_family.reserve(families.size());
       if (ensemble != nullptr) {
         for (std::size_t f = 0; f < ensemble->num_families(); ++f) {
           const Predictor& member = ensemble->family_predictor(f);
@@ -121,8 +123,9 @@ void record_decisions(obs::Telemetry* telemetry,
                    "committed placement's slot missing from candidate scan");
     event.chosen = chosen;
     event.margin = winning_margin(scores, chosen, objective);
-    event.predicted_runtime_s =
-        predictor.predict_runtime(task.app, p.neighbour);
+    TRACON_REQUIRE(p.predicted_runtime_s.has_value(),
+                   "a logged placement carries its predicted runtime");
+    event.predicted_runtime_s = *p.predicted_runtime_s;
     event.predicted_iops = predictor.predict_iops(task.app, p.neighbour);
 
     telemetry->decisions.record_decision(std::move(event));

@@ -45,8 +45,9 @@ double winning_margin(std::span<const double> scores, std::size_t chosen,
 /// `telemetry->decisions`. `cluster` must be the pre-round view the
 /// scheduler was invoked with; placements are re-applied in order so
 /// each event's candidate set matches what the scheduler saw when it
-/// committed that placement. No-op when telemetry is detached, the
-/// decision log is disabled, or no placement was made.
+/// committed that placement; each placement's `predicted_runtime_s`
+/// (required) becomes the record's. No-op when telemetry is detached,
+/// the decision log is disabled, or no placement was made.
 void record_decisions(obs::Telemetry* telemetry,
                       std::string_view scheduler_name, double now_s,
                       std::span<const QueuedTask> queue,

@@ -5,6 +5,12 @@ namespace tracon::sched {
 std::vector<Placement> FifoScheduler::schedule(
     std::span<const QueuedTask> queue, const ClusterCounts& cluster,
     const ScheduleContext& ctx) {
+  // Nothing to place: skip the cluster copy. No RNG draw is skipped,
+  // since the loop below would not run either.
+  if (queue.empty() || !cluster.any_free()) {
+    note_round(queue.size(), 0, 0.0, ctx.now_s);
+    return {};
+  }
   ClusterCounts state = cluster;
   std::vector<Placement> out;
   for (std::size_t pos = 0; pos < queue.size() && state.any_free(); ++pos) {
@@ -26,7 +32,7 @@ std::vector<Placement> FifoScheduler::schedule(
       }
     }
     state.place(queue[pos].app, neighbour);
-    out.push_back({pos, neighbour});
+    out.push_back({pos, neighbour, std::nullopt});
   }
   // FIFO is interference-oblivious, so its predicted cost is always 0.
   note_round(queue.size(), out.size(), 0.0, ctx.now_s);

@@ -28,9 +28,9 @@ BatchOutcome mibs_batch(std::span<const QueuedTask> queue,
     TRACON_DCHECK(state.has_slot(neighbour),
                   "MIBS selected an infeasible placement slot");
     state.place(queue[pos].app, neighbour);
-    out.placements.push_back({pos, neighbour});
-    out.predicted_runtime +=
-        predictor.predict_runtime(queue[pos].app, neighbour);
+    const double runtime = predictor.predict_runtime(queue[pos].app, neighbour);
+    out.placements.push_back({pos, neighbour, runtime});
+    out.predicted_runtime += runtime;
     out.predicted_iops += predictor.predict_iops(queue[pos].app, neighbour);
   };
 

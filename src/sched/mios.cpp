@@ -148,12 +148,12 @@ std::vector<Placement> MiosScheduler::schedule(
     if (!slot.has_value()) continue;  // no acceptable slot; task waits
     TRACON_DCHECK(state.has_slot(*slot),
                   "MIOS selected an infeasible placement slot");
-    predicted_cost +=
-        objective_ == Objective::kRuntime
-            ? predictor_.predict_runtime(queue[pos].app, *slot)
-            : predictor_.predict_iops(queue[pos].app, *slot);
+    const double runtime = predictor_.predict_runtime(queue[pos].app, *slot);
+    predicted_cost += objective_ == Objective::kRuntime
+                          ? runtime
+                          : predictor_.predict_iops(queue[pos].app, *slot);
     state.place(queue[pos].app, *slot);
-    out.push_back({pos, *slot});
+    out.push_back({pos, *slot, runtime});
   }
   record_decisions(telemetry(), name(), ctx.now_s, queue, cluster, out,
                    predictor_, objective_);

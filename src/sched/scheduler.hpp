@@ -68,8 +68,12 @@ class Scheduler {
 
   /// Attaches (or detaches, with nullptr) the telemetry sinks. The
   /// scheduler does not own the bundle; the caller keeps it alive for
-  /// the scheduler's lifetime.
-  void set_telemetry(obs::Telemetry* telemetry) { telemetry_ = telemetry; }
+  /// the scheduler's lifetime. Re-attaching the same bundle keeps the
+  /// cached metric handles; a different one drops them.
+  void set_telemetry(obs::Telemetry* telemetry) {
+    if (telemetry != telemetry_) handles_ = {};
+    telemetry_ = telemetry;
+  }
   obs::Telemetry* telemetry() const { return telemetry_; }
 
   /// Attaches (or detaches, with nullptr) a candidate shortlist index
@@ -87,17 +91,29 @@ class Scheduler {
   /// placements, the queue-length gauge, a placed-per-round histogram,
   /// and a kSchedDecision trace event carrying the predicted cost of
   /// the chosen placements. No-op when telemetry is detached.
+  /// The metrics are looked up once per bundle; the placement metrics
+  /// only on the first round that places, so a run that never places
+  /// exports none of them.
   void note_round(std::size_t queue_len, std::size_t placed,
                   double predicted_cost, double now_s) {
     if (telemetry_ == nullptr) return;
     obs::MetricsRegistry& m = telemetry_->metrics;
-    m.counter("sched.rounds").inc();
-    m.gauge("sched.queue_length").set(static_cast<double>(queue_len));
+    if (handles_.rounds == nullptr) {
+      handles_.rounds = &m.counter("sched.rounds");
+      handles_.queue_length = &m.gauge("sched.queue_length");
+    }
+    handles_.rounds->inc();
+    handles_.queue_length->set(static_cast<double>(queue_len));
     if (placed > 0) {
-      m.counter("sched.decisions").inc();
-      m.counter("sched.placements").inc(placed);
-      m.histogram("sched.batch.placed", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0})
-          .observe(static_cast<double>(placed));
+      if (handles_.decisions == nullptr) {
+        handles_.decisions = &m.counter("sched.decisions");
+        handles_.placements = &m.counter("sched.placements");
+        handles_.batch_placed = &m.histogram(
+            "sched.batch.placed", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0});
+      }
+      handles_.decisions->inc();
+      handles_.placements->inc(placed);
+      handles_.batch_placed->observe(static_cast<double>(placed));
     }
     obs::TraceEvent ev;
     ev.time_s = now_s;
@@ -109,7 +125,17 @@ class Scheduler {
   }
 
  private:
+  /// note_round's metrics in `telemetry_`'s registry; null until used.
+  struct RoundHandles {
+    obs::Counter* rounds = nullptr;
+    obs::Gauge* queue_length = nullptr;
+    obs::Counter* decisions = nullptr;
+    obs::Counter* placements = nullptr;
+    obs::Histogram* batch_placed = nullptr;
+  };
+
   obs::Telemetry* telemetry_ = nullptr;
+  RoundHandles handles_;
   const CandidateIndex* candidate_index_ = nullptr;
 };
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "obs/accuracy.hpp"
-#include "obs/attribution.hpp"
 #include "obs/jsonl.hpp"
 #include "obs/kvlog.hpp"
 #include "obs/span_log.hpp"
@@ -150,6 +149,12 @@ DynamicOutcome run_dynamic(const PerfTable& table,
   // events behind a stamp check.
   CompletionHeap completions(cfg.machines * 2);
   std::vector<sched::QueuedTask> queue;
+  // The scheduler's predicted runtime of each task's placement decision
+  // (empty under FIFO), by task id — which survives migrations — for the
+  // rebalancer's mispredict signal. Kept off the VM slots so runs that
+  // do not rebalance pay nothing for it.
+  std::vector<std::optional<double>> decision_runtime(
+      cfg.rebalancer != nullptr ? arrivals.size() : 0);
 
   DynamicOutcome out;
   double wait_sum = 0.0;
@@ -420,6 +425,8 @@ DynamicOutcome run_dynamic(const PerfTable& table,
         t.placed_neighbour = p.neighbour;
         t.task_id = q.id;
         if (tel != nullptr) tel->decisions.bind_machine(t.task_id, mi);
+        if (cfg.rebalancer != nullptr)
+          decision_runtime[q.id] = p.predicted_runtime_s;
         if (cfg.accuracy_probe != nullptr) {
           t.predicted_runtime_s =
               cfg.accuracy_probe->predict_runtime(q.app, p.neighbour);
@@ -477,15 +484,7 @@ DynamicOutcome run_dynamic(const PerfTable& table,
         views.push_back(v);
       }
     }
-    // Worst-mispredict signal: attribute the run's own decision log so
-    // far. Shard-local under the sharded engine, so the report (and
-    // every plan derived from it) is thread-count independent.
-    std::optional<obs::AttributionReport> report;
-    if (tel != nullptr && tel->decisions.enabled() &&
-        tel->decisions.size() > 0)
-      report.emplace(obs::attribute(tel->decisions.events()));
-    const auto plans = cfg.rebalancer->plan(
-        now, views, counts, report.has_value() ? &*report : nullptr);
+    const auto plans = cfg.rebalancer->plan(now, views, counts);
     for (const migrate::MigrationPlan& p : plans) {
       // Resolve the destination before touching anything: earlier moves
       // in the same round can have consumed the planned class's last
@@ -630,9 +629,9 @@ DynamicOutcome run_dynamic(const PerfTable& table,
                                             runtime, mean_iops);
       }
       if (cfg.rebalancer != nullptr) {
-        cfg.rebalancer->observe_completion(departed, t.placed_neighbour,
-                                           runtime,
-                                           table.solo_runtime(departed));
+        cfg.rebalancer->observe_completion(
+            t.task_id, departed, t.placed_neighbour, runtime,
+            table.solo_runtime(departed), decision_runtime[t.task_id]);
       }
       if (tel != nullptr && tel->decisions.enabled()) {
         obs::DecisionEvent de;

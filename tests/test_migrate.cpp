@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <optional>
 #include <sstream>
 
+#include "migrate/mispredict_tracker.hpp"
+#include "obs/attribution.hpp"
 #include "obs/decision_log.hpp"
 #include "obs/telemetry.hpp"
 #include "sched/fifo.hpp"
@@ -115,14 +120,15 @@ TEST(Rebalancer, MovesATaskOutOfADegradingCell) {
   auto [app, nb] = worst_pair();
   Rebalancer reb(oracle(), cheap_moves());
   double solo = table().solo_runtime(app);
-  for (int i = 0; i < 4; ++i) reb.observe_completion(app, nb, 2.0 * solo, solo);
+  for (int i = 0; i < 4; ++i)
+    reb.observe_completion(i, app, nb, 2.0 * solo, solo, std::nullopt);
   EXPECT_GT(reb.cell_slowdown(app, nb), 1.5);
   EXPECT_EQ(reb.completions_observed(), 4u);
 
   sched::ClusterCounts counts(table().num_apps(), 3);
   counts.place(app, std::nullopt);   // half-busy source stand-in
   counts.place(nb, app);             // fills it: the (app, nb) machine
-  auto plans = reb.plan(100.0, one_task(app, nb), counts, nullptr);
+  auto plans = reb.plan(100.0, one_task(app, nb), counts);
   ASSERT_EQ(plans.size(), 1u);
   const MigrationPlan& p = plans[0];
   EXPECT_EQ(p.task_id, 17u);
@@ -141,7 +147,7 @@ TEST(Rebalancer, StaysPutWithoutADegradationSignal) {
   sched::ClusterCounts counts(table().num_apps(), 3);
   counts.place(app, std::nullopt);
   counts.place(nb, app);
-  EXPECT_TRUE(reb.plan(100.0, one_task(app, nb), counts, nullptr).empty());
+  EXPECT_TRUE(reb.plan(100.0, one_task(app, nb), counts).empty());
   EXPECT_DOUBLE_EQ(reb.cell_slowdown(app, nb), 1.0);
 }
 
@@ -153,11 +159,12 @@ TEST(Rebalancer, NeverMovesWhenCostExceedsBenefit) {
   cfg.cost.copy_bandwidth_mbps = 1.0;
   Rebalancer reb(oracle(), cfg);
   double solo = table().solo_runtime(app);
-  for (int i = 0; i < 4; ++i) reb.observe_completion(app, nb, 2.0 * solo, solo);
+  for (int i = 0; i < 4; ++i)
+    reb.observe_completion(i, app, nb, 2.0 * solo, solo, std::nullopt);
   sched::ClusterCounts counts(table().num_apps(), 3);
   counts.place(app, std::nullopt);
   counts.place(nb, app);
-  EXPECT_TRUE(reb.plan(100.0, one_task(app, nb), counts, nullptr).empty());
+  EXPECT_TRUE(reb.plan(100.0, one_task(app, nb), counts).empty());
 }
 
 TEST(Rebalancer, ValidatesItsConfig) {
@@ -170,6 +177,144 @@ TEST(Rebalancer, ValidatesItsConfig) {
   cfg = {};
   cfg.slowdown_threshold = 0.9;
   EXPECT_THROW(Rebalancer(oracle(), cfg), std::invalid_argument);
+}
+
+// ---------------------------------------------------- mispredict tracker
+
+/// A random decision log shaped like one shard's: each task gets zero
+/// to two decisions (the last wins; none stands for a FIFO placement),
+/// maybe a migration, and maybe one outcome after them, all interleaved
+/// by time. Predictions and runtimes come from small value sets so
+/// |runtime error| ties are common, and some solo runtimes are 0.
+std::vector<obs::DecisionEvent> random_log(Rng& rng, std::size_t tasks) {
+  const double runtimes[] = {40.0, 50.0, 80.0, 100.0};
+  const double solos[] = {0.0, 25.0, 40.0};
+  std::vector<obs::DecisionEvent> log;
+  for (std::uint64_t task = 0; task < tasks; ++task) {
+    double t = rng.uniform(0.0, 1000.0);
+    const std::size_t app = rng.index(3);
+    const std::size_t decisions = rng.index(3);
+    for (std::size_t d = 0; d < decisions; ++d) {
+      obs::DecisionEvent e;
+      e.kind = obs::DecisionEvent::Kind::kDecision;
+      e.task = task;
+      e.time_s = t;
+      e.app = app;
+      e.predicted_runtime_s = runtimes[rng.index(4)];
+      log.push_back(e);
+      t += rng.uniform(0.0, 10.0);
+    }
+    if (rng.index(3) == 0) {
+      obs::DecisionEvent e;
+      e.kind = obs::DecisionEvent::Kind::kMigration;
+      e.task = task;
+      e.time_s = t;
+      e.app = app;
+      log.push_back(e);
+      t += rng.uniform(0.0, 10.0);
+    }
+    if (rng.index(4) != 0) {
+      obs::DecisionEvent e;
+      e.kind = obs::DecisionEvent::Kind::kOutcome;
+      e.task = task;
+      e.time_s = t + rng.uniform(0.0, 100.0);
+      e.app = app;
+      const std::size_t nb = rng.index(4);
+      if (nb < 3) e.neighbour = nb;
+      e.runtime_s = runtimes[rng.index(4)];
+      e.solo_runtime_s = solos[rng.index(3)];
+      log.push_back(e);
+    }
+  }
+  std::stable_sort(
+      log.begin(), log.end(),
+      [](const obs::DecisionEvent& a, const obs::DecisionEvent& b) {
+        return a.time_s < b.time_s;
+      });
+  return log;
+}
+
+/// Feeds `log` to a tracker the way the simulator does: each outcome
+/// carries the prediction of its task's latest decision, if any.
+MispredictTracker track(const std::vector<obs::DecisionEvent>& log,
+                        std::size_t top_k) {
+  MispredictTracker tracker(top_k);
+  std::map<std::uint64_t, double> predicted;
+  for (const obs::DecisionEvent& e : log) {
+    if (e.kind == obs::DecisionEvent::Kind::kDecision)
+      predicted[e.task] = e.predicted_runtime_s;
+    if (e.kind != obs::DecisionEvent::Kind::kOutcome) continue;
+    auto it = predicted.find(e.task);
+    if (it == predicted.end()) continue;
+    tracker.observe(e.task, e.app, e.neighbour, it->second, e.runtime_s,
+                    e.solo_runtime_s);
+  }
+  return tracker;
+}
+
+TEST(MispredictTracker, MatchesAttributionOnRandomLogs) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::vector<obs::DecisionEvent> log =
+        random_log(rng, 1 + rng.index(120));
+    const obs::AttributionReport report = obs::attribute(log);
+    for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{4},
+                          std::size_t{1000}}) {
+      const MispredictTracker tracker = track(log, k);
+
+      // The heatmap, bit for bit; its counts add up to the joined rows.
+      ASSERT_EQ(tracker.pairs().size(), report.pairs.size());
+      std::uint64_t joined = 0;
+      auto want = report.pairs.begin();
+      for (const auto& [key, cell] : tracker.pairs()) {
+        joined += cell.count;
+        EXPECT_EQ(key, want->first);
+        EXPECT_EQ(cell.count, want->second.count);
+        EXPECT_EQ(cell.total_slowdown, want->second.total_slowdown);
+        EXPECT_EQ(cell.total_abs_runtime_error,
+                  want->second.total_abs_runtime_error);
+        ++want;
+      }
+      EXPECT_EQ(joined, report.joined);
+
+      // The first k rows of the mispredict ranking.
+      const std::size_t rows = std::min(k, report.mispredict_order.size());
+      ASSERT_EQ(tracker.rows().size(), rows) << "k=" << k;
+      for (std::size_t i = 0; i < rows; ++i) {
+        const obs::AttributionRow& r =
+            report.rows[report.mispredict_order[i]];
+        const MispredictRow& got = tracker.rows()[i];
+        EXPECT_EQ(got.task, r.task) << "k=" << k << " rank " << i;
+        EXPECT_EQ(got.app, r.app);
+        EXPECT_EQ(got.neighbour, r.neighbour);
+        EXPECT_EQ(got.abs_runtime_error, std::abs(r.runtime_error));
+        EXPECT_EQ(got.realized_slowdown, r.realized_slowdown);
+      }
+    }
+  }
+}
+
+TEST(Rebalancer, MovesATaskOutOfAMispredictedCell) {
+  // No windowed-ring evidence (the cell saw fewer than min_cell_samples
+  // completions), but the one it saw was the worst mispredict: the
+  // tracker's top row flags the cell on its own. The same completion
+  // without a decision (a FIFO placement) joins nothing and moves
+  // nothing.
+  auto [app, nb] = worst_pair();
+  RebalanceConfig cfg = cheap_moves();
+  cfg.min_cell_samples = 8;
+  Rebalancer reb(oracle(), cfg);
+  Rebalancer fifo_fed(oracle(), cfg);
+  const double solo = table().solo_runtime(app);
+  reb.observe_completion(3, app, nb, 2.0 * solo, solo, solo);
+  fifo_fed.observe_completion(3, app, nb, 2.0 * solo, solo, std::nullopt);
+  sched::ClusterCounts counts(table().num_apps(), 3);
+  counts.place(app, std::nullopt);
+  counts.place(nb, app);
+  auto plans = reb.plan(100.0, one_task(app, nb), counts);
+  ASSERT_EQ(plans.size(), 1u);
+  EXPECT_EQ(plans[0].task_id, 17u);
+  EXPECT_TRUE(fifo_fed.plan(100.0, one_task(app, nb), counts).empty());
 }
 
 // ------------------------------------------------- end-to-end determinism

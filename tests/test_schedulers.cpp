@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "obs/telemetry.hpp"
 #include "sched/fifo.hpp"
 #include "sched/mibs.hpp"
 #include "sched/mios.hpp"
@@ -56,6 +57,99 @@ TEST(Fifo, DeterministicPerSeed) {
   for (std::size_t i = 0; i < pa.size(); ++i)
     EXPECT_EQ(pa[i].neighbour, pb[i].neighbour);
   (void)d;
+}
+
+TEST(Fifo, CallsThatCannotPlaceDrawNothing) {
+  // The same placing calls, with calls on an empty queue and against a
+  // full cluster interleaved into one scheduler's stream: its
+  // placements stay the same, and every call counts as a round.
+  auto q = queue_of({0, 1, 2, 1});
+  const std::vector<QueuedTask> empty;
+  ClusterCounts open(3, 5);
+  ClusterCounts full(3, 1);
+  full.place(0, std::nullopt);
+  full.place(1, 0);
+  ASSERT_FALSE(full.any_free());
+
+  obs::Telemetry tel;
+  tel.tracer.set_enabled(true);
+  FifoScheduler plain(11), interleaved(11);
+  interleaved.set_telemetry(&tel);
+  std::uint64_t calls = 0;
+  for (int round = 0; round < 6; ++round) {
+    ClusterCounts state = open;
+    if (round % 2 == 1) state.place(2, std::nullopt);
+    EXPECT_TRUE(interleaved.schedule(empty, state, {1.0 * round}).empty());
+    EXPECT_TRUE(interleaved.schedule(q, full, {1.0 * round}).empty());
+    auto want = plain.schedule(q, state, {1.0 * round});
+    auto got = interleaved.schedule(q, state, {1.0 * round});
+    calls += 3;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].queue_pos, want[i].queue_pos);
+      EXPECT_EQ(got[i].neighbour, want[i].neighbour);
+      EXPECT_FALSE(got[i].predicted_runtime_s.has_value());
+    }
+  }
+  EXPECT_EQ(tel.metrics.counters().at("sched.rounds").value(), calls);
+  EXPECT_EQ(tel.tracer.events().size(), calls);
+}
+
+TEST(NoteRound, TelemetrySwapRedirectsCounts) {
+  auto q = queue_of({0, 1});
+  ClusterCounts c(3, 4);
+  obs::Telemetry a, b;
+  FifoScheduler fifo(5);
+  fifo.set_telemetry(&a);
+  fifo.schedule(q, c, {0.0});
+  fifo.set_telemetry(&a);  // re-attaching the same bundle changes nothing
+  fifo.schedule(q, c, {1.0});
+  fifo.set_telemetry(&b);
+  fifo.schedule(q, c, {2.0});
+  fifo.set_telemetry(nullptr);
+  fifo.schedule(q, c, {3.0});
+  fifo.set_telemetry(&b);
+  fifo.schedule(q, c, {4.0});
+  EXPECT_EQ(a.metrics.counters().at("sched.rounds").value(), 2u);
+  EXPECT_EQ(a.metrics.counters().at("sched.placements").value(), 4u);
+  EXPECT_EQ(b.metrics.counters().at("sched.rounds").value(), 2u);
+  EXPECT_EQ(b.metrics.counters().at("sched.decisions").value(), 2u);
+  EXPECT_EQ(b.metrics.histograms().at("sched.batch.placed").count(), 2u);
+}
+
+TEST(NoteRound, RunWithoutPlacementsRegistersNoPlacementMetrics) {
+  ClusterCounts full(3, 1);
+  full.place(0, std::nullopt);
+  full.place(1, 0);
+  obs::Telemetry tel;
+  FifoScheduler fifo(5);
+  fifo.set_telemetry(&tel);
+  fifo.schedule(queue_of({2}), full, {0.0});
+  fifo.schedule({}, ClusterCounts(3, 2), {1.0});
+  const auto& counters = tel.metrics.counters();
+  EXPECT_EQ(counters.at("sched.rounds").value(), 2u);
+  EXPECT_EQ(counters.count("sched.decisions"), 0u);
+  EXPECT_EQ(counters.count("sched.placements"), 0u);
+  EXPECT_EQ(tel.metrics.histograms().count("sched.batch.placed"), 0u);
+}
+
+TEST(Placement, TraconSchedulersCarryTheirPredictedRuntime) {
+  TablePredictor pred = crafted_predictor();
+  ClusterCounts c(3, 2);
+  c.place(0, std::nullopt);
+  auto q = queue_of({1, 2});
+  MiosScheduler mios(pred, Objective::kIops, no_hold());
+  MibsScheduler mibs(pred, Objective::kRuntime, 2, 0.0, no_hold());
+  for (Scheduler* s : {static_cast<Scheduler*>(&mios),
+                       static_cast<Scheduler*>(&mibs)}) {
+    auto placements = s->schedule(q, c, {0.0});
+    ASSERT_FALSE(placements.empty()) << s->name();
+    for (const Placement& p : placements) {
+      ASSERT_TRUE(p.predicted_runtime_s.has_value()) << s->name();
+      EXPECT_EQ(*p.predicted_runtime_s,
+                pred.predict_runtime(q[p.queue_pos].app, p.neighbour));
+    }
+  }
 }
 
 TEST(MiosBestSlot, PicksPredictedBestClass) {
